@@ -169,7 +169,7 @@ func (e *Encryptor) EncryptAtLevel(pt *Plaintext, level int) *Ciphertext {
 
 	return &Ciphertext{
 		C:         []*ring.Poly{c0, c1},
-		NoiseBits: e.params.freshNoiseBits(),
+		NoiseBits: FreshNoiseBits(e.params.Params),
 	}
 }
 
@@ -217,13 +217,6 @@ func (d *Decryptor) NoiseBudget(ct *Ciphertext) int {
 	phi := d.phase(ct)
 	noiseBits := d.params.RingCtx.MaxCenteredBits(phi)
 	return d.params.QBits(ct.Level()) - noiseBits - 1
-}
-
-// freshNoiseBits estimates log2|t·e + m| of a fresh public-key
-// encryption: t · (e0 + e·u + e1·s) has canonical norm about
-// t·B·sqrt(2N), padded generously.
-func (p *Parameters) freshNoiseBits() float64 {
-	return float64(bitsOf(p.T)) + float64(p.LogN)/2 + 8
 }
 
 func bitsOf(x uint64) int {

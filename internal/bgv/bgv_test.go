@@ -421,11 +421,12 @@ func TestParamsValidate(t *testing.T) {
 		t.Errorf("valid params rejected: %v", err)
 	}
 	bad := []Params{
-		{LogN: 2, T: 65537, PrimeBits: 55, Levels: 2, DigitBits: 30},
-		{LogN: 11, T: 100, PrimeBits: 55, Levels: 2, DigitBits: 30},
-		{LogN: 11, T: 65537, PrimeBits: 10, Levels: 2, DigitBits: 30},
-		{LogN: 11, T: 65537, PrimeBits: 55, Levels: 0, DigitBits: 30},
-		{LogN: 11, T: 65537, PrimeBits: 55, Levels: 2, DigitBits: 60},
+		{LogN: 2, T: 65537, PrimeBits: 55, Levels: 2, SpecialPrimes: 3},
+		{LogN: 11, T: 100, PrimeBits: 55, Levels: 2, SpecialPrimes: 3},
+		{LogN: 11, T: 65537, PrimeBits: 10, Levels: 2, SpecialPrimes: 3},
+		{LogN: 11, T: 65537, PrimeBits: 55, Levels: 0, SpecialPrimes: 3},
+		{LogN: 11, T: 65537, PrimeBits: 55, Levels: 2, SpecialPrimes: 0},
+		{LogN: 11, T: 65537, PrimeBits: 55, Levels: 2, SpecialPrimes: 9},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

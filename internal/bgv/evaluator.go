@@ -21,19 +21,12 @@ func NewEvaluator(params *Parameters, keys *EvaluationKeys) *Evaluator {
 	return &Evaluator{params: params, keys: keys}
 }
 
-// msFloorBits is the noise level right after a modulus switch:
-// roughly t·(1 + ||s||_1) plus rounding, padded.
-func (ev *Evaluator) msFloorBits() float64 {
-	return float64(bitsOf(ev.params.T)) + float64(ev.params.LogN) + 4
-}
+// msFloorBits is the noise level right after a modulus switch.
+func (ev *Evaluator) msFloorBits() float64 { return ModSwitchFloorBits(ev.params.Params) }
 
-// ksNoiseBits is the additive noise of one key switch: the digits are
-// bounded by 2^w and the key errors by t·B, so the added term is about
-// D·2^w·N·t·B.
+// ksNoiseBits is the additive noise of one key switch at a level.
 func (ev *Evaluator) ksNoiseBits(level int) float64 {
-	d := ev.params.RingCtx.NumDigits(level, ev.params.DigitBits)
-	return float64(ev.params.DigitBits) + float64(ev.params.LogN) +
-		float64(bitsOf(ev.params.T)) + math.Log2(float64(d)) + 6
+	return KeySwitchNoiseBits(ev.params.Params, level)
 }
 
 // manage drops levels while the noise estimate gets too close to the
@@ -245,8 +238,8 @@ func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
 // MulNoRelin returns the degree-2 product a·b without relinearizing.
 // Degree-2 ciphertexts support Add/Sub/Neg, so a sum of products can be
 // accumulated first and key-switched once with Relinearize — amortizing
-// the dominant digit-decomposition cost across the whole inner product
-// (lazy relinearization).
+// the dominant key-switching cost across the whole inner product (lazy
+// relinearization).
 func (ev *Evaluator) MulNoRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	out, err := ev.tensorProduct(a, b)
 	if err != nil {
@@ -269,47 +262,41 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 	}
 	ctx := ev.params.RingCtx
 	level := ct.Level()
+	if level == 0 {
+		return nil, errNotEnoughLevels // the switch below drops a prime
+	}
 
-	d2 := ctx.GetPoly(level)
-	ctx.CopyInto(ct.C[2], d2)
-	ctx.INTT(d2)
-	acc0, acc1 := ev.keySwitch(d2, ev.keys.Relin, level)
-	ctx.PutPoly(d2)
-	d0 := ctx.NewPoly(level)
-	ctx.Add(ct.C[0], acc0, d0)
-	d1 := ctx.NewPoly(level)
-	ctx.Add(ct.C[1], acc1, d1)
+	// Key-switch d2, then divide by P and by q_ℓ in one rescale: the
+	// relinearized product is modulus-switched anyway.
+	digits := ctx.ModUp(ct.C[2])
+	acc0, acc1 := ev.keySwitchDot(digits, 1, ev.keys.Relin, level)
+	ctx.PutPolys(digits)
+	d0, d1 := ctx.NewPoly(level-1), ctx.NewPoly(level-1)
+	ctx.ModDownSwitch(acc0, ct.C[0], d0)
+	ctx.ModDownSwitch(acc1, ct.C[1], d1)
 	ctx.PutPoly(acc0)
 	ctx.PutPoly(acc1)
 
 	out := &Ciphertext{C: []*ring.Poly{d0, d1}}
-	out.NoiseBits = math.Max(ct.NoiseBits, ev.ksNoiseBits(level)) + 1
-	if err := ev.ModSwitch(out); err != nil {
-		return nil, err
-	}
+	out.NoiseBits = ev.switchedNoise(math.Max(ct.NoiseBits, ev.ksNoiseBits(level)) + 1)
 	return out, ev.manage(out)
 }
 
-// keySwitch computes Σ_k digit_k ⊙ key_k for a coefficient-domain
-// polynomial d, returning NTT-domain accumulators (b-side, a-side). The
-// key is accessed through its level-truncated view, so a switch at a
-// scheduled-down level runs over exactly the digits and limbs that level
-// needs. The accumulators come from the ring pool; callers that consume
-// them into a longer-lived sum should PutPoly them afterwards.
-func (ev *Evaluator) keySwitch(d *ring.Poly, key *SwitchingKey, level int) (*ring.Poly, *ring.Poly) {
+// keySwitchDot returns the extended accumulators ⟨σ_g(digits), key⟩
+// (g = 1 for no automorphism) over the key's level view at Q_ℓ ∪ P, from
+// the ring pool: the key switch before its division by P.
+func (ev *Evaluator) keySwitchDot(digits []*ring.Poly, g uint64, key *SwitchingKey, level int) (acc0, acc1 *ring.Poly) {
 	ctx := ev.params.RingCtx
-	key = key.AtLevel(ctx, ev.params.DigitBits, level)
-	digits := ctx.DecomposeBase2w(d, ev.params.DigitBits)
-	acc0 := ctx.GetPolyZero(level)
-	acc0.IsNTT = true
-	acc1 := ctx.GetPolyZero(level)
-	acc1.IsNTT = true
-	for k, dig := range digits {
-		ctx.MulCoeffsShoupAdd(dig, key.B[k], key.BS[k], acc0)
-		ctx.MulCoeffsShoupAdd(dig, key.A[k], key.AS[k], acc1)
-	}
-	ctx.PutPolys(digits)
+	key = key.AtLevel(ctx, level)
+	ext := level + ev.params.SpecialPrimes
+	acc0, acc1 = ctx.GetPoly(ext), ctx.GetPoly(ext)
+	ctx.KeySwitchDot(digits, g, key.B, key.A, key.BS, key.AS, acc0, acc1)
 	return acc0, acc1
+}
+
+// switchedNoise is the noise estimate after one modulus switch.
+func (ev *Evaluator) switchedNoise(bits float64) float64 {
+	return math.Max(bits-float64(ev.params.PrimeBits), ev.msFloorBits())
 }
 
 // ModSwitch drops one prime from ct's modulus chain in place, reducing
@@ -322,7 +309,7 @@ func (ev *Evaluator) ModSwitch(ct *Ciphertext) error {
 	for _, c := range ct.C {
 		ctx.ModSwitchDown(c)
 	}
-	ct.NoiseBits = math.Max(ct.NoiseBits-float64(ev.params.PrimeBits), ev.msFloorBits())
+	ct.NoiseBits = ev.switchedNoise(ct.NoiseBits)
 	return nil
 }
 
@@ -385,10 +372,8 @@ func (ev *Evaluator) applyGalois(ct *Ciphertext, elt uint64) (*Ciphertext, error
 		return nil, err
 	}
 	ctx := ev.params.RingCtx
-	level := ct.Level()
-	c0, digits := ev.hoistPrep(ct, level)
-	out, err := ev.galoisFromDigits(ct, c0, digits, elt)
-	ctx.PutPoly(c0)
+	digits := ctx.ModUp(ct.C[1])
+	out, err := ev.galoisFromDigits(ct, digits, elt)
 	ctx.PutPolys(digits)
 	return out, err
 }
@@ -415,58 +400,26 @@ func (ev *Evaluator) checkGalois(ct *Ciphertext, elt uint64) error {
 	return nil
 }
 
-// hoistPrep computes the shared, rotation-independent half of a Galois
-// key switch: c0 in coefficient domain and the base-2^w digit
-// decomposition of c1 (also in coefficient domain). This is the dominant
-// cost of a rotation — one INTT pair plus a full CRT reconstruction per
-// coefficient — and it can be amortized across every rotation of the same
-// ciphertext. All returned polys belong to the ring pool.
-func (ev *Evaluator) hoistPrep(ct *Ciphertext, level int) (c0 *ring.Poly, digits []*ring.Poly) {
-	ctx := ev.params.RingCtx
-	c0 = ctx.GetPoly(level)
-	ctx.CopyInto(ct.C[0], c0)
-	ctx.INTT(c0)
-	c1 := ctx.GetPoly(level)
-	ctx.CopyInto(ct.C[1], c1)
-	ctx.INTT(c1)
-	digits = ctx.DecomposeBase2wCoeff(c1, ev.params.DigitBits)
-	ctx.PutPoly(c1)
-	return c0, digits
-}
-
-// galoisFromDigits finishes a rotation from the hoisted state: it applies
-// the automorphism to c0 and to each shared digit, then multiplies the
-// digits against the Galois key. Applying the automorphism after the
-// decomposition is sound because Σ_k σ(d_k)·2^{kw} = σ(c1) and the
-// automorphism permutes (and sign-flips) coefficients, preserving their
-// digit-sized magnitude.
-func (ev *Evaluator) galoisFromDigits(ct *Ciphertext, c0 *ring.Poly, digits []*ring.Poly, elt uint64) (*Ciphertext, error) {
+// galoisFromDigits finishes a rotation from the hoisted state — the
+// ModUp digits of c1, shared by every rotation of ct. Both the digits
+// and c0 stay in the NTT domain, where σ_elt is a permutation of the
+// evaluation points, so a rotation costs the inner product plus ModDown
+// and no digit transforms. Applying σ after the digit split is sound
+// because σ permutes and sign-flips coefficients, turning a small lift
+// of [c1]_{Q_j} into a small lift of [σ(c1)]_{Q_j}.
+func (ev *Evaluator) galoisFromDigits(ct *Ciphertext, digits []*ring.Poly, elt uint64) (*Ciphertext, error) {
 	ctx := ev.params.RingCtx
 	level := ct.Level()
-	key := ev.keys.Galois[elt].AtLevel(ctx, ev.params.DigitBits, level)
-
-	sc0 := ctx.GetPoly(level)
-	ctx.Automorphism(c0, elt, sc0)
-	ctx.NTT(sc0)
-
-	acc0 := ctx.GetPolyZero(level)
-	acc0.IsNTT = true
-	acc1 := ctx.GetPolyZero(level)
-	acc1.IsNTT = true
-	tmp := ctx.GetPoly(level)
-	for k, dig := range digits {
-		ctx.Automorphism(dig, elt, tmp)
-		ctx.NTT(tmp)
-		ctx.MulCoeffsShoupAdd(tmp, key.B[k], key.BS[k], acc0)
-		ctx.MulCoeffsShoupAdd(tmp, key.A[k], key.AS[k], acc1)
-		tmp.IsNTT = false
-	}
-	ctx.PutPoly(tmp)
-	ctx.Add(sc0, acc0, sc0)
+	sc0 := ctx.NewPoly(level)
+	ctx.AutomorphismNTT(ct.C[0], elt, sc0)
+	acc0, acc1 := ev.keySwitchDot(digits, elt, ev.keys.Galois[elt], level)
+	c1 := ctx.NewPoly(level)
+	ctx.ModDown(acc0, sc0, sc0)
+	ctx.ModDown(acc1, nil, c1)
 	ctx.PutPoly(acc0)
-
+	ctx.PutPoly(acc1)
 	out := &Ciphertext{
-		C:         []*ring.Poly{sc0, acc1},
+		C:         []*ring.Poly{sc0, c1},
 		NoiseBits: math.Max(ct.NoiseBits, ev.ksNoiseBits(level)) + 1,
 	}
 	return out, ev.manage(out)
@@ -491,13 +444,12 @@ func (ev *Evaluator) HoistableStepAt(step, level int) (rotates, hoisted bool) {
 }
 
 // RotateHoisted rotates ct left by every step in steps with hoisted key
-// switching (Halevi–Shoup 2018): the c1 component is decomposed into
-// key-switching digits once, in coefficient domain, and each Galois
-// automorphism is applied to the shared digits — amortizing the dominant
-// INTT + CRT-decompose cost across all requested rotations. The result
-// slice is parallel to steps; step 0 returns a copy. Steps lacking a
-// direct Galois key fall back to the composed Rotate path (no hoisting
-// for those steps).
+// switching (Halevi–Shoup 2018): ModUp extends the c1 digits once, and
+// each Galois automorphism is applied to the shared NTT-domain digits
+// as a permutation — amortizing the INTTs, basis conversions and digit
+// NTTs across all requested rotations. The result slice is parallel to
+// steps; step 0 returns a copy. Steps lacking a direct Galois key fall
+// back to the composed Rotate path (no hoisting for those steps).
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, error) {
 	if ev.keys == nil {
 		return nil, fmt.Errorf("bgv: RotateHoisted requires Galois keys")
@@ -513,7 +465,6 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, 
 	level := ct.Level()
 
 	outs := make([]*Ciphertext, len(steps))
-	var c0 *ring.Poly
 	var digits []*ring.Poly
 	var err error
 	for i, step := range steps {
@@ -527,18 +478,15 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, 
 			outs[i], err = ev.Rotate(ct, s)
 		} else if err = ev.checkGalois(ct, elt); err == nil {
 			if digits == nil {
-				c0, digits = ev.hoistPrep(ct, level)
+				digits = ctx.ModUp(ct.C[1])
 			}
-			outs[i], err = ev.galoisFromDigits(ct, c0, digits, elt)
+			outs[i], err = ev.galoisFromDigits(ct, digits, elt)
 		}
 		if err != nil {
 			break
 		}
 	}
-	if digits != nil {
-		ctx.PutPoly(c0)
-		ctx.PutPolys(digits)
-	}
+	ctx.PutPolys(digits)
 	if err != nil {
 		return nil, err
 	}

@@ -18,27 +18,96 @@ type PublicKey struct {
 	B, A *ring.Poly
 }
 
-// SwitchingKey re-encrypts a "foreign" secret (s², or an automorphism
-// image of s) under s, one entry per base-2^w gadget digit:
-// B[k] = -(A[k]·s + t·e_k) + 2^{kw}·target. A key generated at level ℓ
-// serves every level ≤ ℓ (the gadget digits are level-independent; at
-// lower levels the unused prime residues are simply ignored) but cannot
-// serve levels above ℓ — it has no residues for those primes. Keys for
-// rotation steps used only by the scheduled back half of the pipeline
-// are therefore generated directly at their stage level, cutting key
-// material (GenEvaluationKeysAt).
+// SwitchingKey re-encrypts a "foreign" secret s' (s², or an
+// automorphism image of s) under s for hybrid key switching: digit j is
+// an RLWE sample over the extended modulus Q·P,
+// B[j] = -(A[j]·s + t·e_j) + P·s'·[group j], where [group j] is 1 on the
+// residues of the j-th run of K chain primes and 0 elsewhere. Each poly
+// holds its key level's level+1 Q limbs followed by K P limbs.
+//
+// Because the gadget factor P·[group j] has the same residues at every
+// level, a key generated at level ℓ serves every level ≤ ℓ by dropping
+// Q limbs (AtLevel), but cannot serve levels above ℓ — it has no
+// residues for those primes. Keys for rotation steps used only by the
+// scheduled back half of the pipeline are therefore generated directly at
+// their stage level, cutting key material (GenEvaluationKeysAt).
 // BS and AS are the Shoup companion tables of B and A, letting the
-// evaluator's digit ⊙ key inner products run division-free.
+// digit ⊙ key inner products run division-free.
 type SwitchingKey struct {
 	B, A   []*ring.Poly
 	BS, AS []*ring.PolyShoup
 
+	level int
 	views atomic.Pointer[[]*SwitchingKey] // level-indexed truncated views
+}
+
+// NewSwitchingKey assembles a switching key from its digit polys (as
+// read off the wire), checking every shape against the parameters and
+// rebuilding the Shoup tables. The key level follows from the limb
+// count; the digit count must match it.
+func (p *Parameters) NewSwitchingKey(b, a []*ring.Poly) (*SwitchingKey, error) {
+	if len(b) == 0 || len(b) != len(a) {
+		return nil, fmt.Errorf("bgv: switching key has %d B and %d A digits", len(b), len(a))
+	}
+	ctx := p.RingCtx
+	level := len(b[0].Coeffs) - 1 - p.SpecialPrimes
+	if level < 0 || level > p.MaxLevel() {
+		return nil, fmt.Errorf("bgv: switching key has %d limbs; want level+1+%d for a level in [0,%d]",
+			len(b[0].Coeffs), p.SpecialPrimes, p.MaxLevel())
+	}
+	if want := p.KeySwitchDigits(level); len(b) != want {
+		return nil, fmt.Errorf("bgv: level-%d switching key has %d digits, want %d", level, len(b), want)
+	}
+	moduli := append(append([]*ring.Modulus{}, ctx.Moduli[:level+1]...), ctx.P.Moduli...)
+	k := &SwitchingKey{B: b, A: a, level: level}
+	for j := range b {
+		for _, x := range []*ring.Poly{b[j], a[j]} {
+			if err := checkPoly(x, moduli, p.N()); err != nil {
+				return nil, fmt.Errorf("bgv: switching key digit %d: %w", j, err)
+			}
+		}
+		k.BS = append(k.BS, ctx.ShoupPolyQP(b[j], level))
+		k.AS = append(k.AS, ctx.ShoupPolyQP(a[j], level))
+	}
+	return k, nil
+}
+
+// CheckChainPoly verifies a poly that must span the whole ciphertext
+// chain in NTT domain, such as a public or secret key read off the wire.
+func (p *Parameters) CheckChainPoly(x *ring.Poly) error {
+	return checkPoly(x, p.RingCtx.Moduli, p.N())
+}
+
+// checkPoly verifies x is an NTT-domain poly over the given moduli: one
+// limb per modulus, n residues per limb, each reduced — the key-switch
+// and Shoup kernels index and divide by exactly these bounds.
+func checkPoly(x *ring.Poly, moduli []*ring.Modulus, n int) error {
+	if x == nil || len(x.Coeffs) != len(moduli) {
+		got := 0
+		if x != nil {
+			got = len(x.Coeffs)
+		}
+		return fmt.Errorf("poly has %d limbs, want %d", got, len(moduli))
+	}
+	if !x.IsNTT {
+		return fmt.Errorf("poly is not in NTT domain")
+	}
+	for i, row := range x.Coeffs {
+		if len(row) != n {
+			return fmt.Errorf("poly has degree %d, want %d", len(row), n)
+		}
+		for _, v := range row {
+			if v >= moduli[i].Q {
+				return fmt.Errorf("poly limb %d holds unreduced residue %d", i, v)
+			}
+		}
+	}
+	return nil
 }
 
 // Level returns the highest level this key can serve (the level it was
 // generated at).
-func (k *SwitchingKey) Level() int { return k.B[0].Level() }
+func (k *SwitchingKey) Level() int { return k.level }
 
 // MaterialBytes returns the in-memory size of the key's polynomials
 // (B, A and their Shoup companions).
@@ -50,16 +119,15 @@ func (k *SwitchingKey) MaterialBytes() int64 {
 	return total
 }
 
-// AtLevel returns a view of k truncated to the given level for base-2^w
-// key switching: only the digits that exist at that level's modulus are
-// kept, and each retained key poly (and its Shoup companion) is
-// restricted to the active primes. A key switch at a scheduled-down
-// level therefore decomposes into fewer digits and multiplies fewer
-// limbs than the top-level key would suggest. Views share the full key's
-// backing arrays (no copying) and are cached per level; the top level
+// AtLevel returns a view of k for a key switch at the given level: the
+// digits that level has, each restricted to the level's Q limbs plus
+// the P limbs (and likewise their Shoup companions). A key switch at a
+// scheduled-down level therefore runs over fewer digits and limbs than
+// the top-level key would suggest. Views share the full key's backing
+// arrays (no copying) and are cached per level; the key's own level
 // returns k itself.
-func (k *SwitchingKey) AtLevel(ctx *ring.Context, w, level int) *SwitchingKey {
-	if level >= k.B[0].Level() {
+func (k *SwitchingKey) AtLevel(ctx *ring.Context, level int) *SwitchingKey {
+	if level >= k.level {
 		return k
 	}
 	if tab := k.views.Load(); tab != nil && level < len(*tab) {
@@ -67,20 +135,29 @@ func (k *SwitchingKey) AtLevel(ctx *ring.Context, w, level int) *SwitchingKey {
 			return v
 		}
 	}
-	digits := min(ctx.NumDigits(level, w), len(k.B))
+	digits := ctx.Groups(level)
 	v := &SwitchingKey{
-		B:  make([]*ring.Poly, digits),
-		A:  make([]*ring.Poly, digits),
-		BS: make([]*ring.PolyShoup, digits),
-		AS: make([]*ring.PolyShoup, digits),
+		B:     make([]*ring.Poly, digits),
+		A:     make([]*ring.Poly, digits),
+		BS:    make([]*ring.PolyShoup, digits),
+		AS:    make([]*ring.PolyShoup, digits),
+		level: level,
 	}
 	for d := 0; d < digits; d++ {
-		v.B[d] = restrict(k.B[d], level)
-		v.A[d] = restrict(k.A[d], level)
-		v.BS[d] = &ring.PolyShoup{S: k.BS[d].S[:level+1]}
-		v.AS[d] = &ring.PolyShoup{S: k.AS[d].S[:level+1]}
+		v.B[d] = &ring.Poly{Coeffs: dropQ(k.B[d].Coeffs, k.level, level), IsNTT: true}
+		v.A[d] = &ring.Poly{Coeffs: dropQ(k.A[d].Coeffs, k.level, level), IsNTT: true}
+		v.BS[d] = &ring.PolyShoup{S: dropQ(k.BS[d].S, k.level, level)}
+		v.AS[d] = &ring.PolyShoup{S: dropQ(k.AS[d].S, k.level, level)}
 	}
 	return publishAt(&k.views, level, v)
+}
+
+// dropQ returns the rows of an extended poly at level `from` restricted
+// to level `to`: the first to+1 Q rows followed by the P rows.
+func dropQ(rows [][]uint64, from, to int) [][]uint64 {
+	out := make([][]uint64, 0, len(rows)-(from-to))
+	out = append(out, rows[:to+1]...)
+	return append(out, rows[from+1:]...)
 }
 
 // EvaluationKeys bundles everything the evaluator (Sally) needs: the
@@ -157,53 +234,91 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	return &PublicKey{B: b, A: a}
 }
 
-// genSwitchingKey builds a key switching key from `target` (NTT domain,
-// top level) to sk.
-func (kg *KeyGenerator) genSwitchingKey(target *ring.Poly, sk *SecretKey) *SwitchingKey {
-	return kg.genSwitchingKeyAt(target, sk, kg.params.MaxLevel())
+// secretQP returns sk extended to Q_level ∪ P in NTT domain: the
+// ternary coefficients are read off one chain limb and lifted to the
+// special primes.
+func (kg *KeyGenerator) secretQP(sk *SecretKey, level int) *ring.Poly {
+	ctx := kg.params.RingCtx
+	row := append([]uint64(nil), sk.S.Coeffs[0]...)
+	ctx.Moduli[0].INTT(row)
+	q := ctx.Moduli[0].Q
+	coeffs := make([]int64, len(row))
+	for j, v := range row {
+		if v > q/2 {
+			coeffs[j] = int64(v) - int64(q)
+		} else {
+			coeffs[j] = int64(v)
+		}
+	}
+	x := ctx.NewPolyQP(level)
+	xq, xp := ctx.SplitQP(x, level)
+	for i := range xq.Coeffs {
+		copy(xq.Coeffs[i], sk.S.Coeffs[i])
+	}
+	ctx.P.SetLift(coeffs, xp)
+	ctx.P.NTT(xp)
+	x.IsNTT = true
+	return x
 }
 
-// genSwitchingKeyAt builds the key at the given level: fewer digits and
-// fewer residues per digit than a top-level key. target and sk may live
-// at the top; only their first level+1 limbs are read.
-func (kg *KeyGenerator) genSwitchingKeyAt(target *ring.Poly, sk *SecretKey, level int) *SwitchingKey {
+// genSwitchingKeyAt builds the key switching `target` (extended, NTT
+// domain, at the given level) to s, also extended: one digit per group
+// of K chain primes at that level.
+func (kg *KeyGenerator) genSwitchingKeyAt(target, s *ring.Poly, level int) *SwitchingKey {
 	ctx := kg.params.RingCtx
-	w := kg.params.DigitBits
-	numDigits := ctx.NumDigits(level, w)
-	tgt := restrict(target, level)
-	s := restrict(sk.S, level)
-	swk := &SwitchingKey{}
-	scaled := ctx.NewPoly(level)
-	factors := make([]uint64, level+1)
-	for k := 0; k < numDigits; k++ {
-		a := kg.sampler.UniformPoly(level, true)
-		e := kg.sampler.ErrorPoly(level)
-		ctx.MulScalar(e, kg.params.T, e)
-		ctx.NTT(e)
-		b := ctx.NewPoly(level)
-		ctx.MulCoeffs(a, s, b)
-		ctx.Add(b, e, b)
-		ctx.Neg(b, b)
-		// b += 2^{kw} * target, with the gadget factor reduced per prime.
-		for i := 0; i <= level; i++ {
-			factors[i] = ring.PowMod(2, uint64(k*w), ctx.Moduli[i].Q)
+	swk := &SwitchingKey{level: level}
+	for j := 0; j < ctx.Groups(level); j++ {
+		a := kg.sampler.UniformPolyQP(level, true)
+		e := kg.sampler.ErrorPolyQP(level)
+		b := ctx.NewPolyQP(level)
+		// b = -(a·s + t·e), on the Q and P limbs alike.
+		aq, ap := ctx.SplitQP(a, level)
+		eq, ep := ctx.SplitQP(e, level)
+		sq, sp := ctx.SplitQP(s, level)
+		bq, bp := ctx.SplitQP(b, level)
+		rlweMask(ctx, kg.params.T, aq, eq, sq, bq)
+		rlweMask(ctx.P, kg.params.T, ap, ep, sp, bp)
+		// b += P·target on group j's residues.
+		lo, hi := ctx.GroupRange(j, level)
+		for i := lo; i < hi; i++ {
+			q, pMod := ctx.Moduli[i].Q, ctx.PModQ(i)
+			bi, ti := b.Coeffs[i], target.Coeffs[i]
+			for c := range bi {
+				bi[c] = ring.AddMod(bi[c], ring.MulMod(ti[c], pMod, q), q)
+			}
 		}
-		ctx.MulScalarVec(tgt, factors, scaled)
-		ctx.Add(b, scaled, b)
+		b.IsNTT = true
 		swk.B = append(swk.B, b)
 		swk.A = append(swk.A, a)
-		swk.BS = append(swk.BS, ctx.ShoupPoly(b))
-		swk.AS = append(swk.AS, ctx.ShoupPoly(a))
+		swk.BS = append(swk.BS, ctx.ShoupPolyQP(b, level))
+		swk.AS = append(swk.AS, ctx.ShoupPolyQP(a, level))
 	}
 	return swk
 }
 
-// GenRelinKey builds the relinearization key (switching s² to s).
+// rlweMask sets b = -(a·s + t·e) over one context's limbs; e arrives
+// in coefficient domain and is consumed.
+func rlweMask(c *ring.Context, t uint64, a, e, s, b *ring.Poly) {
+	c.MulScalar(e, t, e)
+	c.NTT(e)
+	c.MulCoeffs(a, s, b)
+	c.Add(b, e, b)
+	c.Neg(b, b)
+}
+
+// GenRelinKey builds the relinearization key (switching s² to s) at the
+// chain top.
 func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *SwitchingKey {
 	ctx := kg.params.RingCtx
-	s2 := ctx.NewPoly(kg.params.MaxLevel())
-	ctx.MulCoeffs(sk.S, sk.S, s2)
-	return kg.genSwitchingKey(s2, sk)
+	level := kg.params.MaxLevel()
+	s := kg.secretQP(sk, level)
+	s2 := ctx.NewPolyQP(level)
+	sq, sp := ctx.SplitQP(s, level)
+	s2q, s2p := ctx.SplitQP(s2, level)
+	ctx.MulCoeffs(sq, sq, s2q)
+	ctx.P.MulCoeffs(sp, sp, s2p)
+	s2.IsNTT = true
+	return kg.genSwitchingKeyAt(s2, s, level)
 }
 
 // GenGaloisKey builds the switching key for the Galois element g
@@ -218,12 +333,10 @@ func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, g uint64) *SwitchingKey {
 // when asked to rotate above a key's level.
 func (kg *KeyGenerator) GenGaloisKeyAt(sk *SecretKey, g uint64, level int) *SwitchingKey {
 	ctx := kg.params.RingCtx
-	sCoeff := restrict(sk.S, level).Copy()
-	ctx.INTT(sCoeff)
-	sg := ctx.NewPoly(level)
-	ctx.Automorphism(sCoeff, g, sg)
-	ctx.NTT(sg)
-	return kg.genSwitchingKeyAt(sg, sk, level)
+	s := kg.secretQP(sk, level)
+	sg := ctx.NewPolyQP(level)
+	ctx.AutomorphismNTT(s, g, sg)
+	return kg.genSwitchingKeyAt(sg, s, level)
 }
 
 // GenEvaluationKeys builds the relinearization key plus Galois keys for

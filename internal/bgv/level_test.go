@@ -93,28 +93,35 @@ func TestDropToLevelThenRotate(t *testing.T) {
 
 // TestSwitchingKeyViews: the truncated view shares the full key's
 // backing arrays, keeps exactly the digits the level's modulus needs,
-// and is cached.
+// drops only Q limbs (the P limbs stay), and is cached.
 func TestSwitchingKeyViews(t *testing.T) {
 	kit := newTestKit(t, 6, nil)
 	key := kit.eval.keys.Relin
 	ctx := kit.params.RingCtx
-	w := kit.params.DigitBits
+	k := kit.params.SpecialPrimes
 
-	top := key.AtLevel(ctx, w, kit.params.MaxLevel())
+	if len(key.B) != kit.params.KeySwitchDigits(5) || len(key.B[0].Coeffs) != 6+k {
+		t.Fatalf("top key has %d digits of %d limbs, want %d of %d",
+			len(key.B), len(key.B[0].Coeffs), kit.params.KeySwitchDigits(5), 6+k)
+	}
+	top := key.AtLevel(ctx, kit.params.MaxLevel())
 	if top != key {
 		t.Error("top-level view is not the key itself")
 	}
-	v := key.AtLevel(ctx, w, 1)
-	if len(v.B) != ctx.NumDigits(1, w) {
-		t.Errorf("level-1 view keeps %d digits, want %d", len(v.B), ctx.NumDigits(1, w))
+	v := key.AtLevel(ctx, 1)
+	if len(v.B) != kit.params.KeySwitchDigits(1) || v.Level() != 1 {
+		t.Errorf("level-1 view keeps %d digits at level %d, want %d at 1", len(v.B), v.Level(), kit.params.KeySwitchDigits(1))
 	}
-	if v.B[0].Level() != 1 || len(v.BS[0].S) != 2 {
-		t.Errorf("level-1 view not truncated to 2 limbs")
+	if len(v.B[0].Coeffs) != 2+k || len(v.BS[0].S) != 2+k {
+		t.Errorf("level-1 view not truncated to 2+%d limbs", k)
 	}
 	if &v.B[0].Coeffs[0][0] != &key.B[0].Coeffs[0][0] {
 		t.Error("view copied the key data instead of sharing it")
 	}
-	if again := key.AtLevel(ctx, w, 1); again != v {
+	if &v.B[0].Coeffs[2][0] != &key.B[0].Coeffs[6][0] {
+		t.Error("view does not keep the key's P limbs after its Q limbs")
+	}
+	if again := key.AtLevel(ctx, 1); again != v {
 		t.Error("view not cached")
 	}
 }

@@ -8,6 +8,7 @@ package bgv
 
 import (
 	"fmt"
+	"math"
 
 	"copse/internal/ring"
 )
@@ -25,8 +26,12 @@ type Params struct {
 	// Levels is the number of primes in the modulus chain; roughly one
 	// prime is consumed per ciphertext-ciphertext multiplication.
 	Levels int
-	// DigitBits is the base-2^w digit width used for key switching.
-	DigitBits int
+	// SpecialPrimes is K, the number of special primes (each PrimeBits
+	// wide, ≡ 1 mod 2N·T) whose product P extends the modulus for
+	// hybrid key switching. They are generated after the chain and never
+	// hold ciphertexts; key-switching digits group the chain into runs
+	// of K primes, so a switch at level ℓ has ⌈(ℓ+1)/K⌉ digits.
+	SpecialPrimes int
 	// IntraOpWorkers is the ring-layer limb parallelism: 0 or 1 runs
 	// every op's per-limb loop serially; n ≥ 2 attaches an n-way
 	// ring.Workers pool to the context so NTTs, key switches and modulus
@@ -56,8 +61,8 @@ func (p Params) Validate() error {
 	if p.Levels < 1 {
 		return fmt.Errorf("bgv: need at least one level")
 	}
-	if p.DigitBits < 10 || p.DigitBits > p.PrimeBits {
-		return fmt.Errorf("bgv: DigitBits %d out of range [10,PrimeBits]", p.DigitBits)
+	if p.SpecialPrimes < 1 || p.SpecialPrimes > MaxSpecialPrimes {
+		return fmt.Errorf("bgv: SpecialPrimes %d out of range [1,%d]", p.SpecialPrimes, MaxSpecialPrimes)
 	}
 	if p.IntraOpWorkers < 0 {
 		return fmt.Errorf("bgv: IntraOpWorkers %d is negative", p.IntraOpWorkers)
@@ -71,25 +76,64 @@ func (p Params) N() int { return 1 << p.LogN }
 // Slots returns the number of usable SIMD slots (N/2).
 func (p Params) Slots() int { return 1 << (p.LogN - 1) }
 
+// MaxSpecialPrimes bounds K: the special modulus needs only to cover one
+// digit group, and every extra prime costs transforms on every switch.
+const MaxSpecialPrimes = 8
+
+// PresetParams returns the shipped parameter family at a ring degree:
+// every preset shares the plaintext modulus, the 55-bit chain primes and
+// K = 3 special primes, and differs only in LogN. The static level
+// planner prices noise with it.
+func PresetParams(logN, levels int) Params {
+	return Params{LogN: logN, T: 65537, PrimeBits: 55, Levels: levels, SpecialPrimes: 3}
+}
+
 // TestParams returns a small, fast parameter set for unit tests. The
 // lattice dimension is far below the 128-bit-security requirement; it is
 // functionally faithful only.
-func TestParams(levels int) Params {
-	return Params{LogN: 11, T: 65537, PrimeBits: 55, Levels: levels, DigitBits: 45}
-}
+func TestParams(levels int) Params { return PresetParams(11, levels) }
 
 // DemoParams returns a mid-sized set used by the examples and benchmark
 // harness: N=4096 (2048 slots), enough for the paper's real-world models.
 // Security is still below 128 bits at the depths COPSE uses; see DESIGN.md.
-func DemoParams(levels int) Params {
-	return Params{LogN: 12, T: 65537, PrimeBits: 55, Levels: levels, DigitBits: 45}
-}
+func DemoParams(levels int) Params { return PresetParams(12, levels) }
 
 // Secure128Params returns a parameter set whose dimension matches the
 // paper's security parameter of 128 at the multiplicative depths COPSE
 // produces. It is expensive in pure Go and intended for offline runs.
-func Secure128Params(levels int) Params {
-	return Params{LogN: 15, T: 65537, PrimeBits: 55, Levels: levels, DigitBits: 45}
+func Secure128Params(levels int) Params { return PresetParams(15, levels) }
+
+// KeySwitchDigits returns the number of hybrid key-switching digits at a
+// level: its ℓ+1 chain primes in groups of K.
+func (p Params) KeySwitchDigits(level int) int {
+	return (level + p.SpecialPrimes) / p.SpecialPrimes
+}
+
+// Noise model. Every estimate is log2 of the critical quantity
+// |t·e + m| and errs high; the evaluator tracks ciphertexts with these
+// formulas and the static level planner (internal/core) simulates
+// pipelines with the very same functions.
+
+// FreshNoiseBits estimates a fresh public-key encryption:
+// t·(e0 + e·u + e1·s) has canonical norm about t·B·sqrt(2N), padded
+// generously.
+func FreshNoiseBits(p Params) float64 {
+	return float64(bitsOf(p.T)) + float64(p.LogN)/2 + 8
+}
+
+// ModSwitchFloorBits is the noise right after a modulus switch: the
+// rounding term t·(1 + ||s||_1), padded.
+func ModSwitchFloorBits(p Params) float64 {
+	return float64(bitsOf(p.T)) + float64(p.LogN) + 4
+}
+
+// KeySwitchNoiseBits is the additive noise of one hybrid key switch at a
+// level. Each of the D digits is a basis-conversion lift below K·Q_j,
+// multiplied by a key error of norm t·B; dividing by P ≥ Q_j leaves about
+// D·K·N·t·B, which also covers the ModDown rounding t·K·(1 + ||s||_1)/2.
+func KeySwitchNoiseBits(p Params, level int) float64 {
+	return float64(bitsOf(p.T)) + float64(p.LogN) +
+		math.Log2(float64(p.KeySwitchDigits(level)*p.SpecialPrimes)) + 6
 }
 
 // Parameters is an instantiated parameter set: the ring context plus
@@ -106,12 +150,14 @@ func NewParameters(p Params) (*Parameters, error) {
 	}
 	// Primes must be ≡ 1 mod 2N (NTT) and ≡ 1 mod T (scale-free modulus
 	// switching). T is prime and 2N a power of two, so lcm = 2N·T.
+	// The special primes continue the same deterministic scan after the
+	// chain, so the chain itself does not depend on K.
 	step := uint64(2*p.N()) * p.T
-	primes, err := ring.GeneratePrimes(p.PrimeBits, step, p.Levels)
+	primes, err := ring.GeneratePrimes(p.PrimeBits, step, p.Levels+p.SpecialPrimes)
 	if err != nil {
 		return nil, err
 	}
-	ctx, err := ring.NewContext(p.LogN, primes, p.T)
+	ctx, err := ring.NewContextQP(p.LogN, primes[:p.Levels], primes[p.Levels:], p.T)
 	if err != nil {
 		return nil, err
 	}
@@ -132,12 +178,12 @@ func (p *Parameters) MaxLevel() int { return p.Levels - 1 }
 func (p *Parameters) QBits(level int) int { return p.RingCtx.BigQ(level).BitLen() }
 
 // SwitchingKeyBytes returns the in-memory size of one switching key
-// generated at the given level: NumDigits(level) digit pairs (B, A),
-// each an (level+1)-limb poly of N uint64 residues, plus the two Shoup
-// companion tables of the same shape.
+// generated at the given level: KeySwitchDigits(level) digit pairs
+// (B, A), each an extended poly of level+1+K limbs of N uint64
+// residues, plus the two Shoup companion tables of the same shape.
 func (p *Parameters) SwitchingKeyBytes(level int) int64 {
-	digits := int64(p.RingCtx.NumDigits(level, p.DigitBits))
-	return digits * int64(level+1) * int64(p.N()) * 8 * 4
+	digits := int64(p.KeySwitchDigits(level))
+	return digits * int64(level+1+p.SpecialPrimes) * int64(p.N()) * 8 * 4
 }
 
 // GaloisElt returns the Galois group element implementing a cyclic slot

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -124,5 +126,45 @@ func TestBreakerConcurrent(t *testing.T) {
 			t.Fatal("breaker did not recover to closed")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestHalfOpenHolderProbedWithoutHedge: once a holder's cooldown has
+// elapsed it gets a trial alongside the healthy primary even when the
+// primary answers before HedgeDelay, so a recovered worker's breaker
+// closes under ordinary traffic.
+func TestHalfOpenHolderProbedWithoutHedge(t *testing.T) {
+	g := NewGateway(GatewayConfig{
+		Breaker:    BreakerConfig{Threshold: 1, Cooldown: 10 * time.Millisecond},
+		HedgeDelay: time.Hour,
+	})
+	defer g.Close()
+	release, _ := g.breakerFor("b").Admit()
+	release(false) // opens b
+	time.Sleep(20 * time.Millisecond)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	primary := make(chan struct{})
+	var primaryDone, probedAlongside atomic.Bool
+	_, err := hedgedCall(g, ctx, []string{"a", "b"}, func(ctx context.Context, url string) (int, error) {
+		if url == "a" {
+			close(primary)
+			<-ctx.Done() // the healthy primary is slow; the probe wins
+			primaryDone.Store(true)
+			return 0, ctx.Err()
+		}
+		<-primary
+		probedAlongside.Store(!primaryDone.Load())
+		return 1, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !probedAlongside.Load() {
+		t.Fatal("half-open holder was tried only after the primary failed, not alongside it")
+	}
+	if s := g.breakerFor("b").snapshot().State; s != "closed" {
+		t.Errorf("probed holder's breaker is %s after a successful trial, want closed", s)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"time"
 
@@ -191,6 +192,21 @@ func hedgedRound[T any](g *Gateway, ctx context.Context, urls []string, call fun
 	attempted := launchNext()
 	if !attempted {
 		return zero, nil, false
+	}
+	// A half-open holder (cooldown elapsed) gets its trial alongside a
+	// healthy primary instead of waiting for a hedge: when the healthy
+	// holders answer within HedgeDelay no hedge ever fires, and a worker
+	// that recovered would never see traffic again. The primary keeps
+	// the request's latency; the first success wins either way.
+	if candidates[next-1].rank == 0 {
+		for i := next; i < len(candidates); i++ {
+			if candidates[i].rank == 1 {
+				c := candidates[i]
+				candidates = slices.Delete(candidates, i, i+1)
+				launch(c)
+				break
+			}
+		}
 	}
 
 	var hedgeC <-chan time.Time

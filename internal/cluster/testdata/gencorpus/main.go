@@ -9,8 +9,10 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -33,7 +35,7 @@ func main() {
 
 	// Same deliberately tiny parameter set as the golden wire tests
 	// (N=16) so the corpus stays a few kilobytes per file.
-	params := bgv.Params{LogN: 4, T: 65537, PrimeBits: 40, Levels: 3, DigitBits: 30}
+	params := bgv.Params{LogN: 4, T: 65537, PrimeBits: 40, Levels: 3, SpecialPrimes: 3}
 	backend, err := hebgv.New(hebgv.Config{Params: params, RotationSteps: []int{3, -2}, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
@@ -87,6 +89,26 @@ func main() {
 	binary.LittleEndian.PutUint32(huge[8:12], 1<<30) // lying length prefix
 	seeds["hugelen"] = huge
 
+	// A well-framed key set whose polys outgrow its params: keys
+	// generated for a 5-prime chain under a 3-prime params header. The
+	// decoder must reject the shapes instead of indexing past the chain.
+	deep := params
+	deep.Levels = 5
+	deepBackend, err := hebgv.New(hebgv.Config{Params: deep, RotationSteps: []int{3}, Seed: 42})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer deepBackend.Close()
+	var db bytes.Buffer
+	must(cluster.EncodeKeyMaterial(&db, deepBackend.PublicMaterial()))
+	seeds["keylevels"] = withKeyParams(db.Bytes(), params)
+
+	// A version-1 params frame: the byte that now holds K held the
+	// digit width (45) then; decoders must refuse the old version.
+	v1 := bytes.Clone(frame)
+	binary.LittleEndian.PutUint16(v1[4:6], 1)
+	seeds["v1params"] = v1
+
 	garbled := bytes.Clone(seeds["ciphertexts"])
 	for i := 12; i < len(garbled); i += 97 {
 		garbled[i] ^= 0x5a
@@ -101,6 +123,30 @@ func main() {
 		}
 		fmt.Printf("wrote %s (%d bytes)\n", path, len(data))
 	}
+}
+
+// withKeyParams re-frames a key-material frame under other params,
+// keeping its key polys.
+func withKeyParams(frame []byte, p bgv.Params) []byte {
+	zr, err := gzip.NewReader(bytes.NewReader(frame[12:]))
+	if err != nil {
+		log.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var pb bytes.Buffer
+	must(cluster.EncodeParams(&pb, p))
+	copy(raw, pb.Bytes()[12:]) // the params payload is the key payload's fixed-width prefix
+	var zbuf bytes.Buffer
+	zw := gzip.NewWriter(&zbuf)
+	_, err = zw.Write(raw)
+	must(err)
+	must(zw.Close())
+	out := bytes.Clone(frame[:12])
+	binary.LittleEndian.PutUint32(out[8:12], uint32(zbuf.Len()))
+	return append(out, zbuf.Bytes()...)
 }
 
 func must(err error) {

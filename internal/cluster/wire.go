@@ -34,7 +34,15 @@ import (
 // throughout.
 const (
 	wireMagic   = "CPSW"
-	WireVersion = 1
+	WireVersion = 2
+
+	// minKeyWireVersion is the oldest version the params and key-material
+	// decoders accept: version 2 replaced the base-2^w digit width with
+	// the special-prime count K in the params payload (and hybrid
+	// switching keys in key material), so a version-1 byte there would
+	// be misread. Ciphertext and meta frames are unchanged since
+	// version 1.
+	minKeyWireVersion = 2
 
 	// DefaultMaxFrameBytes bounds a frame so a corrupt or hostile
 	// length prefix cannot drive an allocation: large enough for a
@@ -49,6 +57,10 @@ const (
 	// would pay prime generation and NTT table precomputation
 	// proportional to the lie before any later check could catch it.
 	maxWireLevels = 64
+
+	// maxWireLimbs bounds a decoded poly's limb count: a switching-key
+	// poly carries the chain plus the special primes.
+	maxWireLimbs = maxWireLevels + bgv.MaxSpecialPrimes
 )
 
 // maxFrameBytes is the live frame-size limit (see SetMaxFrameBytes).
@@ -99,13 +111,22 @@ const (
 )
 
 // WireVersionError is the typed error a decoder returns when a frame
-// was produced by a newer wire version than this process understands.
+// was produced by a wire version this process cannot read for its kind:
+// newer than Supported, or older than Min.
 type WireVersionError struct {
-	Got, Supported uint16
+	Got, Min, Supported uint16
 }
 
 func (e *WireVersionError) Error() string {
-	return fmt.Sprintf("cluster: wire version %d not supported (max %d)", e.Got, e.Supported)
+	return fmt.Sprintf("cluster: wire version %d not supported (reads %d to %d)", e.Got, e.Min, e.Supported)
+}
+
+// minWireVersion is the oldest version a frame kind decodes from.
+func minWireVersion(kind uint16) uint16 {
+	if kind == KindParams || kind == KindKeyMaterial {
+		return minKeyWireVersion
+	}
+	return 1
 }
 
 // writeFrame wraps a payload in the versioned header.
@@ -131,8 +152,8 @@ func readFrame(r io.Reader, wantKind uint16) ([]byte, error) {
 	if string(hdr[:4]) != wireMagic {
 		return nil, fmt.Errorf("cluster: bad frame magic %q", hdr[:4])
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v > WireVersion {
-		return nil, &WireVersionError{Got: v, Supported: WireVersion}
+	if v, lo := binary.LittleEndian.Uint16(hdr[4:6]), minWireVersion(wantKind); v > WireVersion || v < lo {
+		return nil, &WireVersionError{Got: v, Min: lo, Supported: WireVersion}
 	}
 	if k := binary.LittleEndian.Uint16(hdr[6:8]); k != wantKind {
 		return nil, fmt.Errorf("cluster: frame kind %d, want %d", k, wantKind)
@@ -261,7 +282,7 @@ func (r *reader) poly() *ring.Poly {
 	if r.err != nil {
 		return nil
 	}
-	if limbs < 1 || limbs > 64 || n < 1 || n > 1<<16 {
+	if limbs < 1 || limbs > maxWireLimbs || n < 1 || n > 1<<16 {
 		r.err = fmt.Errorf("cluster: implausible poly shape (%d limbs, N=%d)", limbs, n)
 		return nil
 	}
@@ -287,18 +308,18 @@ func putParams(b *bytes.Buffer, p bgv.Params) {
 	putU64(b, p.T)
 	putU8(b, uint8(p.PrimeBits))
 	putU16(b, uint16(p.Levels))
-	putU8(b, uint8(p.DigitBits))
+	putU8(b, uint8(p.SpecialPrimes))
 	// IntraOpWorkers is a local execution knob, not key material — it
 	// deliberately does not travel.
 }
 
 func (r *reader) params() bgv.Params {
 	return bgv.Params{
-		LogN:      int(r.u8()),
-		T:         r.u64(),
-		PrimeBits: int(r.u8()),
-		Levels:    int(r.u16()),
-		DigitBits: int(r.u8()),
+		LogN:          int(r.u8()),
+		T:             r.u64(),
+		PrimeBits:     int(r.u8()),
+		Levels:        int(r.u16()),
+		SpecialPrimes: int(r.u8()),
 	}
 }
 
@@ -359,31 +380,47 @@ func putSwitchingKey(b *bytes.Buffer, k *bgv.SwitchingKey) {
 	// them, halving the frame size.
 }
 
-func (r *reader) switchingKey(ctx *ring.Context) *bgv.SwitchingKey {
+// switchingKey reads one switching key and checks its shape against
+// the parameters (limbs = key level + 1 + K, digits for that level,
+// ring degree), rebuilding the Shoup tables.
+func (r *reader) switchingKey(params *bgv.Parameters) *bgv.SwitchingKey {
 	digits := int(r.u16())
 	if r.err != nil {
 		return nil
 	}
-	if digits < 1 || digits > 64 {
+	if digits < 1 || digits > maxWireLimbs {
 		r.err = fmt.Errorf("cluster: implausible switching-key digit count %d", digits)
 		return nil
 	}
-	k := &bgv.SwitchingKey{
-		B:  make([]*ring.Poly, digits),
-		A:  make([]*ring.Poly, digits),
-		BS: make([]*ring.PolyShoup, digits),
-		AS: make([]*ring.PolyShoup, digits),
-	}
+	b := make([]*ring.Poly, digits)
+	a := make([]*ring.Poly, digits)
 	for d := 0; d < digits; d++ {
-		k.B[d] = r.poly()
-		k.A[d] = r.poly()
+		b[d] = r.poly()
+		a[d] = r.poly()
 		if r.err != nil {
 			return nil
 		}
-		k.BS[d] = ctx.ShoupPoly(k.B[d])
-		k.AS[d] = ctx.ShoupPoly(k.A[d])
+	}
+	k, err := params.NewSwitchingKey(b, a)
+	if err != nil {
+		r.err = fmt.Errorf("cluster: %w", err)
+		return nil
 	}
 	return k
+}
+
+// chainPoly reads a poly that must span the whole ciphertext chain
+// (public and secret keys) in NTT domain.
+func (r *reader) chainPoly(params *bgv.Parameters, what string) *ring.Poly {
+	p := r.poly()
+	if r.err != nil {
+		return nil
+	}
+	if err := params.CheckChainPoly(p); err != nil {
+		r.err = fmt.Errorf("cluster: %s: %w", what, err)
+		return nil
+	}
+	return p
 }
 
 const (
@@ -477,18 +514,17 @@ func DecodeKeyMaterial(rd io.Reader) (*hebgv.Material, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := params.RingCtx
 	m := &hebgv.Material{Params: p}
 	flags := r.u8()
-	m.Public = &bgv.PublicKey{B: r.poly(), A: r.poly()}
+	m.Public = &bgv.PublicKey{B: r.chainPoly(params, "public key"), A: r.chainPoly(params, "public key")}
 	if flags&matHasSecret != 0 {
-		m.Secret = &bgv.SecretKey{S: r.poly()}
+		m.Secret = &bgv.SecretKey{S: r.chainPoly(params, "secret key")}
 	}
 	if flags&(matHasRelin|matHasGalois) != 0 {
 		m.Keys = &bgv.EvaluationKeys{Galois: map[uint64]*bgv.SwitchingKey{}}
 	}
 	if flags&matHasRelin != 0 {
-		m.Keys.Relin = r.switchingKey(ctx)
+		m.Keys.Relin = r.switchingKey(params)
 	}
 	if flags&matHasGalois != 0 {
 		n := int(r.u32())
@@ -497,7 +533,10 @@ func DecodeKeyMaterial(rd io.Reader) (*hebgv.Material, error) {
 		}
 		for i := 0; i < n && r.err == nil; i++ {
 			elt := r.u64()
-			m.Keys.Galois[elt] = r.switchingKey(ctx)
+			if r.err == nil && (elt%2 == 0 || elt >= uint64(2*params.N())) {
+				r.err = fmt.Errorf("cluster: invalid Galois element %d for N=%d", elt, params.N())
+			}
+			m.Keys.Galois[elt] = r.switchingKey(params)
 		}
 	}
 	if err := r.done(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -23,7 +24,7 @@ var update = flag.Bool("update", false, "rewrite golden wire-format files")
 // tinyParams is a deliberately minimal parameter set (N=16) so the
 // committed golden key material stays a few kilobytes.
 func tinyParams() bgv.Params {
-	return bgv.Params{LogN: 4, T: 65537, PrimeBits: 40, Levels: 3, DigitBits: 30}
+	return bgv.Params{LogN: 4, T: 65537, PrimeBits: 40, Levels: 3, SpecialPrimes: 3}
 }
 
 // tinyBackend builds a deterministic backend on the tiny parameters.
@@ -304,6 +305,116 @@ func TestWireVersionError(t *testing.T) {
 		if ve.Got != WireVersion+1 || ve.Supported != WireVersion {
 			t.Errorf("%s: version error %+v", name, ve)
 		}
+	}
+}
+
+// TestWireV1KeyFramesRejected: version 2 changed the params payload
+// (the byte that held the base-2^w digit width now holds K) and the
+// switching-key layout, so a version-1 params or key-material frame must
+// fail with *WireVersionError rather than be misread; ciphertext frames
+// did not change and still decode.
+func TestWireV1KeyFramesRejected(t *testing.T) {
+	b := tinyBackend(t)
+	defer b.Close()
+	var pb, kb, cb bytes.Buffer
+	if err := EncodeParams(&pb, tinyParams()); err != nil {
+		t.Fatal(err)
+	}
+	if err := EncodeKeyMaterial(&kb, b.PublicMaterial()); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := b.Encrypt([]uint64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, depth, err := b.ExportCiphertext(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := EncodeCiphertexts(&cb, []WireCiphertext{{Ct: raw, Depth: depth}}); err != nil {
+		t.Fatal(err)
+	}
+	v1 := func(frame []byte) []byte {
+		old := bytes.Clone(frame)
+		binary.LittleEndian.PutUint16(old[4:6], 1)
+		return old
+	}
+	for name, err := range map[string]error{
+		"params": func() error { _, err := DecodeParams(bytes.NewReader(v1(pb.Bytes()))); return err }(),
+		"keys":   func() error { _, err := DecodeKeyMaterial(bytes.NewReader(v1(kb.Bytes()))); return err }(),
+	} {
+		var ve *WireVersionError
+		if !errors.As(err, &ve) || ve.Got != 1 || ve.Min != 2 {
+			t.Errorf("%s: v1 frame error = %v, want *WireVersionError{Got: 1, Min: 2}", name, err)
+		}
+	}
+	if _, err := DecodeCiphertexts(bytes.NewReader(v1(cb.Bytes()))); err != nil {
+		t.Errorf("v1 ciphertext frame rejected: %v", err)
+	}
+}
+
+// rewriteKeyParams re-frames a key-material frame with its params
+// swapped for p, leaving every key poly as it was.
+func rewriteKeyParams(t *testing.T, frame []byte, p bgv.Params) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(frame[12:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pb bytes.Buffer
+	putParams(&pb, p)
+	copy(raw, pb.Bytes()) // fixed-width params prefix
+	var zbuf bytes.Buffer
+	zw := gzip.NewWriter(&zbuf)
+	zw.Write(raw)
+	zw.Close()
+	var out bytes.Buffer
+	if err := writeFrame(&out, KindKeyMaterial, zbuf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestWireKeyShapeMismatch: a well-framed key set whose polys do not
+// fit its params — more limbs than the chain, fewer, or another ring
+// degree — must fail with an error, never index past the chain.
+func TestWireKeyShapeMismatch(t *testing.T) {
+	deep := tinyParams()
+	deep.Levels = 5
+	b, err := hebgv.New(hebgv.Config{Params: deep, RotationSteps: []int{3}, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	var kb bytes.Buffer
+	if err := EncodeKeyMaterial(&kb, b.Material()); err != nil {
+		t.Fatal(err)
+	}
+	shallow := tinyParams() // Levels 3 carrying Levels 5 keys
+	wide := deep
+	wide.LogN = 5 // right levels, wrong ring degree
+	fewerK := deep
+	fewerK.SpecialPrimes = 2 // switching keys one P limb too long
+	for name, p := range map[string]bgv.Params{"shallow": shallow, "wide": wide, "fewerK": fewerK} {
+		frame := rewriteKeyParams(t, kb.Bytes(), p)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: decoder panicked: %v", name, r)
+				}
+			}()
+			if _, err := DecodeKeyMaterial(bytes.NewReader(frame)); err == nil {
+				t.Errorf("%s: mismatched key shapes accepted", name)
+			}
+		}()
+	}
+	// The unmodified frame still decodes.
+	if _, err := DecodeKeyMaterial(bytes.NewReader(rewriteKeyParams(t, kb.Bytes(), deep))); err != nil {
+		t.Fatalf("re-framed original keys rejected: %v", err)
 	}
 }
 

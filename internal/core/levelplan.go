@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
+	"copse/internal/bgv"
 	"copse/internal/matrix"
 )
 
@@ -19,11 +21,12 @@ import (
 // level, and the serving backend sizes its chain — and its switching
 // keys — to the plan's top instead of the reactive recommendation.
 //
-// The noise model here MUST mirror internal/bgv/evaluator.go: the plan
-// is only a schedule, the evaluator's own management still guards
-// correctness, but a plan more aggressive than the evaluator's noise
-// accounting would make Classify fail with "modulus chain exhausted".
-// The regression tests in levelplan_test.go pin the two together.
+// The simulator MUST mirror internal/bgv/evaluator.go op for op, and it
+// prices noise with bgv's own exported formulas: the plan is only a
+// schedule, the evaluator's own management still guards correctness,
+// but a plan more aggressive than the evaluator's noise accounting would
+// make Classify fail with "modulus chain exhausted". The regression
+// tests in levelplan_test.go pin the two together.
 
 // LevelPlan is a compile-time schedule assigning each pipeline stage the
 // modulus-chain level it executes at. Levels are absolute: level 0 is
@@ -98,17 +101,16 @@ func (p *LevelPlan) ShuffleLevel() int {
 	return max(p.Cipher.Shuffle, p.Plain.Shuffle)
 }
 
-// noiseModel mirrors the constants of internal/bgv: all shipped
-// parameter presets share the plaintext modulus, prime size and
-// key-switch digit width; only the ring degree varies with the packing
-// width. Estimates err on the safe side: the modulus bit length is
-// rounded down, the digit count up, and per-stage slack bits are kept
-// in hand on every headroom check.
+// noiseModel prices the pipeline with internal/bgv's own noise
+// formulas (bgv.FreshNoiseBits, ModSwitchFloorBits, KeySwitchNoiseBits)
+// evaluated on the shipped parameter family at the model's packing
+// width, so planner and evaluator cannot drift apart. Estimates err on
+// the safe side: the modulus bit length is rounded down, and per-stage
+// slack bits are kept in hand on every headroom check.
 type noiseModel struct {
-	logN      int
+	params    bgv.Params
 	tBits     int
 	primeBits int
-	digitBits int
 	// stageSlack is the safety margin (bits) held back on every
 	// headroom check, indexed by the pipeline stage the simulator is
 	// walking: 0 compare, 1 reshuffle, 2 level, 3 accumulate, 4 the
@@ -146,11 +148,11 @@ type slackConfig struct {
 // planNoiseModel returns the model for a packing width (slots = N/2)
 // under the given slack profile.
 func planNoiseModel(slots int, sl slackConfig) noiseModel {
+	p := bgv.PresetParams(log2Ceil(slots)+1, 1)
 	nm := noiseModel{
-		logN:      log2Ceil(slots) + 1,
-		tBits:     17, // t = 65537
-		primeBits: 55,
-		digitBits: 45,
+		params:    p,
+		tBits:     bits.Len64(p.T),
+		primeBits: p.PrimeBits,
 	}
 	nm.stageSlack = stageSlackDefaults
 	if sl.flat {
@@ -173,25 +175,14 @@ func (nm noiseModel) qBits(level int) float64 {
 	return float64((level+1)*nm.primeBits - 1)
 }
 
-// digits upper-bounds the base-2^w digit count at a level.
-func (nm noiseModel) digits(level int) int {
-	return ((level+1)*nm.primeBits + nm.digitBits - 1) / nm.digitBits
-}
-
 // floor is the noise level right after a modulus switch.
-func (nm noiseModel) floor() float64 {
-	return float64(nm.tBits + nm.logN + 4)
-}
+func (nm noiseModel) floor() float64 { return bgv.ModSwitchFloorBits(nm.params) }
 
 // ks is the additive noise of one key switch at a level.
-func (nm noiseModel) ks(level int) float64 {
-	return float64(nm.digitBits+nm.logN+nm.tBits) + math.Log2(float64(nm.digits(level))) + 6
-}
+func (nm noiseModel) ks(level int) float64 { return bgv.KeySwitchNoiseBits(nm.params, level) }
 
 // fresh is the noise of a fresh public-key encryption.
-func (nm noiseModel) fresh() float64 {
-	return float64(nm.tBits) + float64(nm.logN)/2 + 8
-}
+func (nm noiseModel) fresh() float64 { return bgv.FreshNoiseBits(nm.params) }
 
 // simCt is a simulated ciphertext: a (level, noise) pair plus the
 // degree-2 flag of an unrelinearized product.
@@ -316,7 +307,7 @@ func (s *sim) tensor(a, b simCt) simCt {
 		s.fail(failLevel)
 		return a
 	}
-	out := simCt{level: a.level, noise: a.noise + b.noise + float64(s.nm.logN) + 1, deg2: true}
+	out := simCt{level: a.level, noise: a.noise + b.noise + float64(s.nm.params.LogN) + 1, deg2: true}
 	s.manage(&out)
 	return out
 }
@@ -384,7 +375,7 @@ func (s *sim) relinOp(o simOp) simOp {
 
 // mulPlain mirrors MulPlain's noise growth.
 func (s *sim) mulPlain(x simOp) simOp {
-	x.ct.noise += float64(s.nm.tBits) + float64(s.nm.logN)/2 + 1
+	x.ct.noise += float64(s.nm.tBits) + float64(s.nm.params.LogN)/2 + 1
 	s.manage(&x.ct)
 	return x
 }

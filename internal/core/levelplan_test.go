@@ -389,3 +389,46 @@ func TestShuffleUnderLevelPlanBGV(t *testing.T) {
 		t.Errorf("shuffled votes %v, want one vote for L4", res.Votes)
 	}
 }
+
+// TestNoiseModelMatchesEvaluator pins the planner to the evaluator for
+// every shipped preset: a fresh encryption, a modulus switch of it and a
+// rotation at each level carry exactly the noise estimates the planner
+// simulates with (the evaluator's running NoiseBits is what its own
+// noise management acts on).
+func TestNoiseModelMatchesEvaluator(t *testing.T) {
+	const levels = 4
+	for _, p := range []bgv.Params{bgv.TestParams(levels), bgv.DemoParams(levels), bgv.Secure128Params(levels)} {
+		nm := planNoiseModel(p.Slots(), slackConfig{})
+		params, err := bgv.NewParameters(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kg := bgv.NewSeededKeyGenerator(params, 3)
+		sk := kg.GenSecretKey()
+		elt := params.GaloisElt(1)
+		keys := &bgv.EvaluationKeys{Galois: map[uint64]*bgv.SwitchingKey{elt: kg.GenGaloisKey(sk, elt)}}
+		enc := bgv.NewSeededEncryptor(params, kg.GenPublicKey(sk), 4)
+		ev := bgv.NewEvaluator(params, keys)
+		pt := bgv.NewPlaintext(make([]uint64, p.N()))
+
+		fresh := enc.Encrypt(pt)
+		if fresh.NoiseBits != nm.fresh() {
+			t.Errorf("LogN %d: fresh noise %.2f, planner %.2f", p.LogN, fresh.NoiseBits, nm.fresh())
+		}
+		if err := ev.ModSwitch(fresh); err != nil {
+			t.Fatal(err)
+		}
+		if fresh.NoiseBits != nm.floor() {
+			t.Errorf("LogN %d: switched noise %.2f, planner floor %.2f", p.LogN, fresh.NoiseBits, nm.floor())
+		}
+		for level := 1; level < levels; level++ {
+			rot, err := ev.Rotate(enc.EncryptAtLevel(pt, level), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := max(nm.fresh(), nm.ks(level)) + 1; rot.NoiseBits != want {
+				t.Errorf("LogN %d level %d: key-switch noise %.2f, planner %.2f", p.LogN, level, rot.NoiseBits, want)
+			}
+		}
+	}
+}

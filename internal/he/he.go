@@ -238,7 +238,7 @@ type OpCounts struct {
 	ConstMul int64
 	MaxDepth int64
 	// RotateHoisted is the subset of Rotate performed through hoisted
-	// key switching (shared digit decomposition); it measures how much of
+	// key switching (one shared ModUp); it measures how much of
 	// the rotation bill was amortized, not an additional op category.
 	RotateHoisted int64
 	// Relin counts explicit relinearizations of lazily accumulated

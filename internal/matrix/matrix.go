@@ -465,7 +465,7 @@ func MatVecParallel(b he.Backend, d *Diagonals, v he.Operand, skipZero bool, wor
 
 // BabyRotations computes rot(v, j) for j = 0..baby-1 (index 0 is v
 // itself). With hoist set and a ciphertext operand, the backend's
-// hoisted-rotation path shares one digit decomposition across all steps.
+// hoisted-rotation path shares one key-switch ModUp across all steps.
 // The result can be fed to MatVecBSGSWith — and shared across every
 // matrix product with the same period, e.g. all level matrices.
 func BabyRotations(b he.Backend, v he.Operand, baby int, hoist bool) ([]he.Operand, error) {

@@ -1,9 +1,6 @@
 package ring
 
-import (
-	"math/big"
-	"math/bits"
-)
+import "math/big"
 
 // crtLevel holds the constants for reconstructing integers from their RNS
 // residues at one level of the prime chain.
@@ -12,12 +9,6 @@ type crtLevel struct {
 	halfQ *big.Int   // bigQ / 2, for centering
 	qiHat []*big.Int // bigQ / q_i
 	inv   []uint64   // (bigQ/q_i)^{-1} mod q_i
-
-	// Word-level mirrors of the constants above, for the allocation-free
-	// reconstruction used on the hot decomposition path.
-	words  int        // 64-bit words covering bigQ
-	qWords []uint64   // bigQ, little-endian, length `words`
-	qiHatW [][]uint64 // bigQ / q_i, little-endian, length `words`
 }
 
 func (ctx *Context) buildCRT() {
@@ -35,73 +26,8 @@ func (ctx *Context) buildCRT() {
 			hatModQ := new(big.Int).Mod(hat, new(big.Int).SetUint64(q)).Uint64()
 			cl.inv = append(cl.inv, InvMod(hatModQ, q))
 		}
-		cl.words = (cl.bigQ.BitLen() + 63) / 64
-		cl.qWords = toWords(cl.bigQ, cl.words)
-		for _, hat := range cl.qiHat {
-			cl.qiHatW = append(cl.qiHatW, toWords(hat, cl.words))
-		}
 		ctx.crt[level] = cl
 	}
-}
-
-// toWords returns the little-endian 64-bit words of x, padded to n,
-// independent of the platform's big.Word size (32 or 64, both of which
-// divide 64, so each big.Word lands in exactly one output word).
-func toWords(x *big.Int, n int) []uint64 {
-	out := make([]uint64, n)
-	const wordBits = bits.UintSize
-	for i, w := range x.Bits() {
-		bit := i * wordBits
-		out[bit/64] |= uint64(w) << uint(bit%64)
-	}
-	return out
-}
-
-// reconstructWords computes (Σ_i res_i·inv_i·qiHat_i) mod Q into acc,
-// a little-endian word vector of length words+1 — the same value
-// reconstructCoeff produces, without big.Int allocations. The sum is at
-// most (level+1)·Q, so the reduction is a short subtract loop.
-func (cl *crtLevel) reconstructWords(res []uint64, moduli []*Modulus, acc []uint64) {
-	clear(acc)
-	w := cl.words
-	for i, r := range res {
-		v := MulMod(r, cl.inv[i], moduli[i].Q)
-		hat := cl.qiHatW[i]
-		var carry uint64
-		for k := 0; k < w; k++ {
-			hi, lo := bits.Mul64(v, hat[k])
-			s, c1 := bits.Add64(acc[k], lo, 0)
-			s, c2 := bits.Add64(s, carry, 0)
-			acc[k] = s
-			carry = hi + c1 + c2 // v < 2^62, so hi + 2 cannot wrap
-		}
-		acc[w] += carry
-	}
-	for wordsGE(acc, cl.qWords) {
-		wordsSub(acc, cl.qWords)
-	}
-}
-
-// wordsGE reports acc ≥ q, where acc has one extra top word.
-func wordsGE(acc, q []uint64) bool {
-	if acc[len(q)] != 0 {
-		return true
-	}
-	for k := len(q) - 1; k >= 0; k-- {
-		if acc[k] != q[k] {
-			return acc[k] > q[k]
-		}
-	}
-	return true
-}
-
-// wordsSub sets acc -= q in place.
-func wordsSub(acc, q []uint64) {
-	var borrow uint64
-	for k := range q {
-		acc[k], borrow = bits.Sub64(acc[k], q[k], borrow)
-	}
-	acc[len(q)] -= borrow
 }
 
 // BigQ returns the full modulus at the given level.
@@ -172,183 +98,4 @@ func (ctx *Context) MaxCenteredBits(p *Poly) int {
 		}
 	}
 	return maxBits
-}
-
-// DecomposeBase2w decomposes a coefficient-domain polynomial into base-2^w
-// digit polynomials: p = Σ_k digits[k] · 2^{kw}, with every digit
-// coefficient in [0, 2^w). The digits are returned in NTT domain, ready
-// for key switching. Because the digits are level-independent, a single
-// key-switching key (generated at the top level) serves every level.
-//
-// The digit polynomials come from the context's pool; callers done with
-// them may PutPoly them back (or simply drop them).
-//
-// With a worker pool attached the digit NTTs are fanned out as one flat
-// digits × limbs task set — the largest single batch of independent
-// transforms in the evaluator (a key switch at level ℓ runs
-// NumDigits(ℓ)·(ℓ+1) of them).
-func (ctx *Context) DecomposeBase2w(p *Poly, w int) []*Poly {
-	digits := ctx.DecomposeBase2wCoeff(p, w)
-	limbs := p.Level() + 1
-	if ws, _ := ctx.limbWorkers(len(digits)*limbs, false); ws != nil {
-		ws.Run(len(digits)*limbs, func(t int) {
-			ctx.Moduli[t%limbs].NTT(digits[t/limbs].Coeffs[t%limbs])
-		})
-		for _, d := range digits {
-			d.IsNTT = true
-		}
-		return digits
-	}
-	for k := range digits {
-		ctx.NTT(digits[k])
-	}
-	return digits
-}
-
-// DecomposeBase2wCoeff is DecomposeBase2w without the final NTT: the
-// digits are returned in coefficient domain. Hoisted key switching needs
-// this form so a Galois automorphism can be applied to the shared digits
-// before each per-rotation NTT.
-func (ctx *Context) DecomposeBase2wCoeff(p *Poly, w int) []*Poly {
-	if p.IsNTT {
-		panic("ring: DecomposeBase2w requires coefficient-domain input")
-	}
-	level := p.Level()
-	cl := ctx.crt[level]
-	numDigits := (cl.bigQ.BitLen() + w - 1) / w
-	digits := make([]*Poly, numDigits)
-	for k := range digits {
-		digits[k] = ctx.GetPoly(level)
-	}
-	// The per-coefficient reconstruction dominates; with a pool attached
-	// the coefficient range is split into one contiguous block per worker
-	// (each with private scratch — coefficient j writes only column j of
-	// every digit, so blocks never interfere and the result is
-	// bit-identical to the serial order).
-	if ws, _ := ctx.limbWorkers(level+1, false); ws != nil {
-		shards := min(ws.Size(), ctx.N)
-		ws.Run(shards, func(s int) {
-			ctx.decomposeRange(p, cl, digits, w, numDigits, s*ctx.N/shards, (s+1)*ctx.N/shards)
-		})
-	} else {
-		ctx.decomposeRange(p, cl, digits, w, numDigits, 0, ctx.N)
-	}
-	return digits
-}
-
-// decomposeRange runs the base-2^w digit extraction for coefficients
-// [lo, hi) with private scratch.
-func (ctx *Context) decomposeRange(p *Poly, cl *crtLevel, digits []*Poly, w, numDigits, lo, hi int) {
-	level := p.Level()
-	acc := make([]uint64, cl.words+1)
-	res := make([]uint64, level+1)
-	for j := lo; j < hi; j++ {
-		for i := range res {
-			res[i] = p.Coeffs[i][j]
-		}
-		cl.reconstructWords(res, ctx.Moduli, acc)
-		for k := 0; k < numDigits; k++ {
-			d := extractBitsWords(acc, k*w, w)
-			for i := 0; i <= level; i++ {
-				q := ctx.Moduli[i].Q
-				if d < q {
-					digits[k].Coeffs[i][j] = d
-				} else {
-					digits[k].Coeffs[i][j] = d % q
-				}
-			}
-		}
-	}
-}
-
-// extractBitsWords reads `width` bits starting at bit offset `start` from
-// a little-endian []uint64. width must be at most 63.
-func extractBitsWords(words []uint64, start, width int) uint64 {
-	wordIdx := start >> 6
-	bitIdx := start & 63
-	if wordIdx >= len(words) {
-		return 0
-	}
-	v := words[wordIdx] >> uint(bitIdx)
-	if got := 64 - bitIdx; got < width && wordIdx+1 < len(words) {
-		v |= words[wordIdx+1] << uint(got)
-	}
-	return v & (uint64(1)<<uint(width) - 1)
-}
-
-// NumDigits returns the number of base-2^w digits needed at the given
-// level.
-func (ctx *Context) NumDigits(level, w int) int {
-	return (ctx.crt[level].bigQ.BitLen() + w - 1) / w
-}
-
-// ModSwitchDown performs the exact BGV modulus switch, dropping the top
-// prime q_l: it replaces c by (c - δ)/q_l where δ ≡ c (mod q_l) and
-// δ ≡ 0 (mod t), with δ centered so the added noise is minimal. Because
-// every prime is ≡ 1 mod t, the plaintext is preserved without scaling.
-// The input must be in NTT domain and at level ≥ 1.
-func (ctx *Context) ModSwitchDown(p *Poly) {
-	if !p.IsNTT {
-		panic("ring: ModSwitchDown requires NTT-domain input")
-	}
-	l := p.Level()
-	if l < 1 {
-		panic("ring: ModSwitchDown at level 0")
-	}
-	ql := ctx.Moduli[l].Q
-	t := ctx.T
-
-	// Recover the dropped component in coefficient domain.
-	top := ctx.getRow()
-	defer ctx.putRow(top)
-	copy(top, p.Coeffs[l])
-	ctx.Moduli[l].INTT(top)
-
-	// v = centered([c * t^{-1}]_{q_l}); δ = t * v. The centered value is
-	// carried shifted by +q_l (vu = v + q_l ∈ (q_l/2, 3q_l/2]) so the
-	// per-prime loop below is branch-free: δ ≡ t·vu − t·q_l (mod q_i).
-	tInv := InvMod(t%ql, ql)
-	half := ql >> 1
-	vu := ctx.getRow()
-	defer ctx.putRow(vu)
-	for j := range vu[:ctx.N] {
-		v := MulMod(top[j], tInv, ql)
-		if v > half {
-			vu[j] = v
-		} else {
-			vu[j] = v + ql
-		}
-	}
-
-	// Each remaining prime's work — build δ mod q_i, forward-NTT it, and
-	// rescale p's residue row — is independent of every other prime's, so
-	// it fans out across the worker pool (each limb takes a private
-	// scratch row from the pool; rowPool is a sync.Pool and safe for
-	// concurrent use).
-	perPrime := func(i int) {
-		delta := ctx.getRow()
-		qi := ctx.Moduli[i].Q
-		invQl := InvMod(ql%qi, qi)
-		invQlS := ShoupPrecomp(invQl, qi)
-		tq := t % qi
-		tqS := ShoupPrecomp(tq, qi)
-		tql := MulMod(tq, ql%qi, qi) // t·q_l mod q_i, the shift correction
-		for j, u := range vu[:ctx.N] {
-			delta[j] = SubMod(MulModShoup(u, tq, tqS, qi), tql, qi)
-		}
-		ctx.Moduli[i].NTT(delta)
-		pi := p.Coeffs[i]
-		for j := range pi {
-			pi[j] = MulModShoup(SubMod(pi[j], delta[j], qi), invQl, invQlS, qi)
-		}
-		ctx.putRow(delta)
-	}
-	if ws, _ := ctx.limbWorkers(l, false); ws != nil {
-		ws.Run(l, perPrime)
-	} else {
-		for i := 0; i < l; i++ {
-			perPrime(i)
-		}
-	}
-	p.Coeffs = p.Coeffs[:l]
 }

@@ -105,6 +105,15 @@ func mulShoupAddVecAVX2(q uint64, a, b, bs, out []uint64)
 //go:noescape
 func mulScalarVecAVX2(q, c, cs uint64, a, out []uint64)
 
+//go:noescape
+func mulScalarAddVecAVX2(q, c, cs uint64, a, out []uint64)
+
+//go:noescape
+func mulScalarShiftVecAVX2(q, c, cs, e uint64, a, out []uint64)
+
+//go:noescape
+func rescaleVecAVX2(q, c, cs uint64, a, b, out []uint64)
+
 // nttVec is the vector forward transform: the same fused pass
 // structure as nttScalar (fused first double layer, per-layer middle
 // sweeps, fused final double layer with the [0, q) reduction folded
@@ -210,5 +219,29 @@ func mulScalarVecAsm(q, c, cs uint64, a, out []uint64) {
 	mulScalarVecAVX2(q, c, cs, a[:n], out[:n])
 	if n < len(out) {
 		mulScalarRowScalar(q, c, cs, a[n:], out[n:])
+	}
+}
+
+func mulScalarAddVecAsm(q, c, cs uint64, a, out []uint64) {
+	n := len(out) &^ 3
+	mulScalarAddVecAVX2(q, c, cs, a[:n], out[:n])
+	if n < len(out) {
+		mulScalarAddRowScalar(q, c, cs, a[n:], out[n:])
+	}
+}
+
+func mulScalarShiftVecAsm(q, c, cs, e uint64, a, out []uint64) {
+	n := len(out) &^ 3
+	mulScalarShiftVecAVX2(q, c, cs, e, a[:n], out[:n])
+	if n < len(out) {
+		mulScalarShiftRowScalar(q, c, cs, e, a[n:], out[n:])
+	}
+}
+
+func rescaleVecAsm(q, c, cs uint64, a, b, out []uint64) {
+	n := len(out) &^ 3
+	rescaleVecAVX2(q, c, cs, a[:n], b[:n], out[:n])
+	if n < len(out) {
+		rescaleRowScalar(q, c, cs, a[n:], b[n:], out[n:])
 	}
 }

@@ -728,3 +728,99 @@ mulscalar_loop:
 mulscalar_done:
 	VZEROUPPER
 	RET
+
+// func mulScalarAddVecAVX2(q, c, cs uint64, a, out []uint64)
+TEXT ·mulScalarAddVecAVX2(SB), NOSPLIT, $0-72
+	MOVQ q+0(FP), AX
+	LOADQLO32(AX)
+	VPBROADCASTQ c+8(FP), Y10
+	VPBROADCASTQ cs+16(FP), Y9
+	MOVQ a_base+24(FP), SI
+	MOVQ out_base+48(FP), DI
+	MOVQ out_len+56(FP), BX
+	SHLQ $3, BX
+	TESTQ BX, BX
+	JZ mulscalaradd_done
+
+mulscalaradd_loop:
+	VMOVDQU (SI), Y0
+	VPSRLQ $32, Y0, Y1
+	LAZYMUL(Y0, Y1, Y10, Y9, Y2, Y3, Y4, Y5, Y6)
+	CONDSUBQ(Y6, Y0)
+	VMOVDQU (DI), Y0
+	VPADDQ Y6, Y0, Y0
+	CONDSUBQ(Y0, Y1)
+	VMOVDQU Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $32, BX
+	JNZ mulscalaradd_loop
+
+mulscalaradd_done:
+	VZEROUPPER
+	RET
+
+// func mulScalarShiftVecAVX2(q, c, cs, e uint64, a, out []uint64)
+TEXT ·mulScalarShiftVecAVX2(SB), NOSPLIT, $0-80
+	MOVQ q+0(FP), AX
+	LOADQLO32(AX)
+	VPBROADCASTQ c+8(FP), Y10
+	VPBROADCASTQ cs+16(FP), Y9
+	VPBROADCASTQ e+24(FP), Y8
+	MOVQ a_base+32(FP), SI
+	MOVQ out_base+56(FP), DI
+	MOVQ out_len+64(FP), BX
+	SHLQ $3, BX
+	TESTQ BX, BX
+	JZ mulscalarshift_done
+
+mulscalarshift_loop:
+	VMOVDQU (SI), Y0
+	VPSRLQ $32, Y0, Y1
+	LAZYMUL(Y0, Y1, Y10, Y9, Y2, Y3, Y4, Y5, Y6)
+	CONDSUBQ(Y6, Y0)
+	VPADDQ Y8, Y6, Y6
+	CONDSUBQ(Y6, Y0)
+	VMOVDQU Y6, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $32, BX
+	JNZ mulscalarshift_loop
+
+mulscalarshift_done:
+	VZEROUPPER
+	RET
+
+// func rescaleVecAVX2(q, c, cs uint64, a, b, out []uint64)
+TEXT ·rescaleVecAVX2(SB), NOSPLIT, $0-96
+	MOVQ q+0(FP), AX
+	LOADQLO32(AX)
+	VPBROADCASTQ c+8(FP), Y10
+	VPBROADCASTQ cs+16(FP), Y9
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	MOVQ out_base+72(FP), DI
+	MOVQ out_len+80(FP), BX
+	SHLQ $3, BX
+	TESTQ BX, BX
+	JZ rescale_done
+
+rescale_loop:
+	VMOVDQU (SI), Y0
+	VMOVDQU (DX), Y1
+	VPSUBQ Y1, Y0, Y0
+	VPADDQ Y14, Y0, Y0
+	CONDSUBQ(Y0, Y1)
+	VPSRLQ $32, Y0, Y1
+	LAZYMUL(Y0, Y1, Y10, Y9, Y2, Y3, Y4, Y5, Y6)
+	CONDSUBQ(Y6, Y0)
+	VMOVDQU Y6, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, DI
+	SUBQ $32, BX
+	JNZ rescale_loop
+
+rescale_done:
+	VZEROUPPER
+	RET

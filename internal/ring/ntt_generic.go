@@ -22,3 +22,12 @@ func mulShoupAddVecAsm(q uint64, a, b, bs, out []uint64) {
 	mulShoupAddRowScalar(q, a, b, bs, out)
 }
 func mulScalarVecAsm(q, c, cs uint64, a, out []uint64) { mulScalarRowScalar(q, c, cs, a, out) }
+func mulScalarAddVecAsm(q, c, cs uint64, a, out []uint64) {
+	mulScalarAddRowScalar(q, c, cs, a, out)
+}
+func mulScalarShiftVecAsm(q, c, cs, e uint64, a, out []uint64) {
+	mulScalarShiftRowScalar(q, c, cs, e, a, out)
+}
+func rescaleVecAsm(q, c, cs uint64, a, b, out []uint64) {
+	rescaleRowScalar(q, c, cs, a, b, out)
+}

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -47,9 +48,22 @@ type Context struct {
 	Moduli []*Modulus // prime chain q_0 .. q_L
 	T      uint64     // plaintext modulus
 
-	crt  []*crtLevel // per-level CRT reconstruction tables
-	pool polyPools   // level-keyed polynomial recycling (pool.go)
-	rows rowPool     // single-prime scratch rows
+	// P is the special-modulus context of hybrid key switching (nil
+	// without one; see NewContextQP and basis.go). Moduli and MaxLevel
+	// always describe the ciphertext chain Q alone.
+	P *Context
+
+	crt  []*crtLevel   // per-level CRT reconstruction tables
+	ms   []*rescaleTab // per-level one-prime modulus-switch tables
+	down *rescaleTab   // division by P (NewContextQP only)
+	// downSwitch[l] divides by q_l·P (NewContextQP only); pModQ[i] is
+	// [P]_{q_i} with its Shoup companion.
+	downSwitch    []*rescaleTab
+	pModQ, pModQS []uint64
+	groups        [][]*convGroup // digit-group basis conversions (NewContextQP only)
+	perms         sync.Map       // Galois element → NTT-domain permutation
+	pool          polyPools      // level-keyed polynomial recycling (pool.go)
+	rows          rowPool        // single-prime scratch rows
 
 	// workers is the optional intra-op pool fanning per-limb work across
 	// cores (workers.go). Atomic so attachment races with concurrent op
@@ -119,6 +133,7 @@ func NewContext(logN int, primes []uint64, t uint64) (*Context, error) {
 	ctx.tileBytes.Store(DefaultTileBytes)
 	ctx.vecRows.Store(vectorDefault.Load())
 	ctx.buildCRT()
+	ctx.buildRescale()
 	return ctx, nil
 }
 
@@ -133,6 +148,9 @@ func (ctx *Context) SetVectorKernels(on bool) {
 	ctx.vecRows.Store(on)
 	for _, m := range ctx.Moduli {
 		m.SetVectorKernels(on)
+	}
+	if ctx.P != nil {
+		ctx.P.SetVectorKernels(on)
 	}
 }
 
@@ -518,28 +536,6 @@ func (ctx *Context) ShoupPoly(p *Poly) *PolyShoup {
 		s[i] = row
 	}
 	return &PolyShoup{S: s}
-}
-
-// MulCoeffsShoupAdd sets out += a ⊙ b (pointwise, NTT domain), where bs
-// is b's Shoup companion table. b may live at a higher level than out;
-// only out's active primes are touched. This is the key-switch inner
-// product, the hottest pointwise loop of the evaluator.
-func (ctx *Context) MulCoeffsShoupAdd(a, b *Poly, bs *PolyShoup, out *Poly) {
-	if !a.IsNTT || !b.IsNTT {
-		panic("ring: MulCoeffsShoupAdd requires NTT-domain operands")
-	}
-	m := len(out.Coeffs)
-	vec := ctx.vecRows.Load()
-	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
-		ws.RunTiled(m, grain, func(i int) {
-			mulShoupAddRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], bs.S[i], out.Coeffs[i])
-		})
-	} else {
-		for i := 0; i < m; i++ {
-			mulShoupAddRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], bs.S[i], out.Coeffs[i])
-		}
-	}
-	out.IsNTT = true
 }
 
 // MulScalar sets out = a * c for a word-sized scalar c.

@@ -7,7 +7,7 @@ import "sync"
 // per operation; recycling them through a level-keyed pool keeps the
 // steady-state allocation rate near zero instead of thrashing the GC.
 //
-// Discipline: a poly obtained from GetPoly/GetPolyZero is owned by the
+// Discipline: a poly obtained from GetPoly is owned by the
 // caller until PutPoly. Polys that escape into long-lived structures
 // (ciphertexts returned to the user) are simply never Put — the pool is
 // an optimization, not a lifetime tracker.
@@ -35,23 +35,11 @@ func (pp *polyPools) forLevel(level int, n int) *sync.Pool {
 }
 
 // GetPoly returns a polynomial at the given level from the pool. Its
-// coefficients are arbitrary (callers that fully overwrite every residue
-// should prefer this over GetPolyZero); IsNTT is reset to false.
+// coefficients are arbitrary (callers must overwrite every residue);
+// IsNTT is reset to false.
 func (ctx *Context) GetPoly(level int) *Poly {
 	p := ctx.pool.forLevel(level, ctx.N).Get().(*Poly)
 	p.IsNTT = false
-	return p
-}
-
-// GetPolyZero returns a zeroed polynomial at the given level.
-func (ctx *Context) GetPolyZero(level int) *Poly {
-	p := ctx.GetPoly(level)
-	for i := range p.Coeffs {
-		row := p.Coeffs[i]
-		for j := range row {
-			row[j] = 0
-		}
-	}
 	return p
 }
 

@@ -306,71 +306,6 @@ func TestModSwitchDown(t *testing.T) {
 	}
 }
 
-// TestDecomposeBase2w verifies Σ digits[k]·2^{kw} == p in every residue.
-func TestDecomposeBase2w(t *testing.T) {
-	ctx := testContext(t)
-	s := NewSeededSampler(ctx, 6)
-	for _, w := range []int{13, 20, 30} {
-		p := s.UniformPoly(ctx.MaxLevel(), false)
-		digits := ctx.DecomposeBase2w(p, w)
-		if len(digits) != ctx.NumDigits(ctx.MaxLevel(), w) {
-			t.Fatalf("w=%d: got %d digits, want %d", w, len(digits), ctx.NumDigits(ctx.MaxLevel(), w))
-		}
-		// Work in NTT domain (linearity).
-		ref := p.Copy()
-		ctx.NTT(ref)
-		acc := ctx.NewPoly(ctx.MaxLevel())
-		acc.IsNTT = true
-		scaled := ctx.NewPoly(ctx.MaxLevel())
-		for k, d := range digits {
-			factor := new(big.Int).Lsh(big.NewInt(1), uint(k*w))
-			for i := range acc.Coeffs {
-				q := ctx.Moduli[i].Q
-				f := new(big.Int).Mod(factor, new(big.Int).SetUint64(q)).Uint64()
-				for j := range acc.Coeffs[i] {
-					scaled.Coeffs[i][j] = MulMod(d.Coeffs[i][j], f, q)
-				}
-			}
-			scaled.IsNTT = true
-			ctx.Add(acc, scaled, acc)
-		}
-		for i := range acc.Coeffs {
-			for j := range acc.Coeffs[i] {
-				if acc.Coeffs[i][j] != ref.Coeffs[i][j] {
-					t.Fatalf("w=%d: reconstruction mismatch at [%d][%d]", w, i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestExtractBitsWords(t *testing.T) {
-	v := new(big.Int).SetUint64(0xDEADBEEFCAFEF00D)
-	v.Lsh(v, 64)
-	v.Or(v, new(big.Int).SetUint64(0x0123456789ABCDEF))
-	words := toWords(v, 2)
-	cases := []struct {
-		start, width int
-		want         uint64
-	}{
-		{0, 16, 0xCDEF},
-		{4, 16, 0xBCDE},
-		{60, 8, 0xD0},
-		{64, 32, 0xCAFEF00D},
-		{120, 8, 0xDE},
-		{124, 8, 0x0D},
-		{128, 16, 0},
-	}
-	for _, c := range cases {
-		if got := extractBitsWords(words, c.start, c.width); got != c.want {
-			t.Errorf("extractBitsWords(%d,%d) = %#x, want %#x", c.start, c.width, got, c.want)
-		}
-	}
-	if w := toWords(v, 3); w[2] != 0 || w[1] != 0xDEADBEEFCAFEF00D {
-		t.Errorf("toWords padding: %#x", w)
-	}
-}
-
 func TestSamplerDistributions(t *testing.T) {
 	ctx := testContext(t)
 	s := NewSeededSampler(ctx, 9)

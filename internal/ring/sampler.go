@@ -50,10 +50,27 @@ func newSamplerFromSeed(ctx *Context, seed [32]byte) *Sampler {
 // independently yields a uniform element of Z_Q.
 func (s *Sampler) UniformPoly(level int, ntt bool) *Poly {
 	p := s.ctx.NewPoly(level)
-	for i := 0; i <= level; i++ {
-		q := s.ctx.Moduli[i].Q
+	s.uniformRows(p.Coeffs, s.ctx.Moduli)
+	p.IsNTT = ntt
+	return p
+}
+
+// UniformPolyQP samples a uniformly random extended polynomial over
+// Q_level ∪ P (see NewContextQP).
+func (s *Sampler) UniformPolyQP(level int, ntt bool) *Poly {
+	p := s.ctx.NewPolyQP(level)
+	q, sp := s.ctx.SplitQP(p, level)
+	s.uniformRows(q.Coeffs, s.ctx.Moduli)
+	s.uniformRows(sp.Coeffs, s.ctx.P.Moduli)
+	p.IsNTT = ntt
+	return p
+}
+
+// uniformRows fills rows[i] with uniform residues modulo moduli[i].
+func (s *Sampler) uniformRows(rows [][]uint64, moduli []*Modulus) {
+	for i, pi := range rows {
+		q := moduli[i].Q
 		bound := ^uint64(0) - (^uint64(0) % q) // rejection threshold
-		pi := p.Coeffs[i]
 		for j := range pi {
 			for {
 				v := s.rng.Uint64()
@@ -64,8 +81,6 @@ func (s *Sampler) UniformPoly(level int, ntt bool) *Poly {
 			}
 		}
 	}
-	p.IsNTT = ntt
-	return p
 }
 
 // TernaryPoly samples a uniform ternary polynomial (coefficients in
@@ -83,13 +98,28 @@ func (s *Sampler) TernaryPoly(level int) *Poly {
 // ErrorPoly samples a centered-binomial error polynomial at the given
 // level, in coefficient domain.
 func (s *Sampler) ErrorPoly(level int) *Poly {
+	p := s.ctx.NewPoly(level)
+	s.ctx.SetLift(s.errorCoeffs(), p)
+	return p
+}
+
+// ErrorPolyQP samples one centered-binomial error polynomial lifted to
+// every limb of Q_level ∪ P, in coefficient domain.
+func (s *Sampler) ErrorPolyQP(level int) *Poly {
+	coeffs := s.errorCoeffs()
+	p := s.ctx.NewPolyQP(level)
+	q, sp := s.ctx.SplitQP(p, level)
+	s.ctx.SetLift(coeffs, q)
+	s.ctx.P.SetLift(coeffs, sp)
+	return p
+}
+
+func (s *Sampler) errorCoeffs() []int64 {
 	coeffs := make([]int64, s.ctx.N)
 	for j := range coeffs {
 		coeffs[j] = s.cbdSample()
 	}
-	p := s.ctx.NewPoly(level)
-	s.ctx.SetLift(coeffs, p)
-	return p
+	return coeffs
 }
 
 // cbdSample draws one centered-binomial value: popcount(a)-popcount(b)

@@ -72,11 +72,6 @@ func TestSpanTiledOpsDeterministic(t *testing.T) {
 		{"Neg", func(ctx *Context, a, b, out *Poly) { ctx.Neg(a, out) }},
 		{"MulCoeffs", func(ctx *Context, a, b, out *Poly) { ctx.MulCoeffs(a, b, out) }},
 		{"MulCoeffsAdd", func(ctx *Context, a, b, out *Poly) { ctx.CopyInto(a, out); ctx.MulCoeffsAdd(a, b, out) }},
-		{"MulCoeffsShoupAdd", func(ctx *Context, a, b, out *Poly) {
-			bs := ctx.ShoupPoly(b)
-			ctx.CopyInto(a, out)
-			ctx.MulCoeffsShoupAdd(a, b, bs, out)
-		}},
 		{"MulScalar", func(ctx *Context, a, b, out *Poly) { ctx.MulScalar(a, 12345, out) }},
 	}
 

@@ -3,13 +3,14 @@ package ring
 import "sync/atomic"
 
 // Vector kernel selection. On amd64 hosts with AVX2 the butterfly sweeps
-// of NTT/INTT and the pointwise workhorses (MulCoeffsShoupAdd,
-// MulCoeffs[Add], Add/Sub/Neg, MulScalar[Vec]) run 4-lane assembly
-// kernels (ntt_amd64.s); everywhere else — and under the `purego` build
-// tag — the scalar Go kernels are the implementation. Selection happens
-// once per Modulus/Context at construction from the package default,
-// which a capability probe seeds at init; SetVectorKernels overrides the
-// default for tests and ablation benches (copse-bench -novec).
+// of NTT/INTT and the pointwise workhorses (the key-switch inner product,
+// basis conversions and rescales, MulCoeffs[Add], Add/Sub/Neg,
+// MulScalar) run 4-lane assembly kernels (ntt_amd64.s); everywhere else
+// — and under the `purego` build tag — the scalar Go kernels are the
+// implementation. Selection happens once per Modulus/Context at
+// construction from the package default, which a capability probe seeds
+// at init; SetVectorKernels overrides the default for tests and
+// ablation benches (copse-bench -novec).
 //
 // The vector kernels are bit-identical to the scalar ones: the
 // butterflies and Shoup multiplies evaluate exactly the same uint64

@@ -126,6 +126,22 @@ func TestVectorRowKernelsMatchScalar(t *testing.T) {
 			check("mulScalar",
 				func(out []uint64) { mulScalarRowScalar(q, c, cs, a, out) },
 				func(out []uint64) { mulScalarVecAsm(q, c, cs, a, out) })
+			// The basis-conversion kernels take unreduced inputs (residues
+			// of other primes, or values shifted up to 3q/2).
+			wide := make([]uint64, n)
+			for i := range wide {
+				wide[i] = rng.Uint64()
+			}
+			e := rng.Uint64() % q
+			check("mulScalarShift",
+				func(out []uint64) { mulScalarShiftRowScalar(q, c, cs, e, wide, out) },
+				func(out []uint64) { mulScalarShiftVecAsm(q, c, cs, e, wide, out) })
+			check("mulScalarAdd",
+				func(out []uint64) { copy(out, acc); mulScalarAddRowScalar(q, c, cs, wide, out) },
+				func(out []uint64) { copy(out, acc); mulScalarAddVecAsm(q, c, cs, wide, out) })
+			check("rescale",
+				func(out []uint64) { rescaleRowScalar(q, c, cs, a, b, out) },
+				func(out []uint64) { rescaleVecAsm(q, c, cs, a, b, out) })
 		}
 	}
 }

@@ -9,23 +9,24 @@ import (
 	"time"
 )
 
-// testContexts returns two identical contexts (same primes), one serial
+// testContexts returns two identical contexts (same primes, three
+// special primes), one serial
 // and one with an n-way worker pool attached. The caller must
 // CloseWorkers on the parallel one.
 func testContexts(t *testing.T, logN, levels, workers int) (serial, parallel *Context) {
 	t.Helper()
 	n := 1 << logN
-	primes, err := GeneratePrimes(55, uint64(2*n)*65537, levels)
+	primes, err := GeneratePrimes(55, uint64(2*n)*65537, levels+3)
 	if err != nil {
 		t.Fatalf("GeneratePrimes: %v", err)
 	}
-	serial, err = NewContext(logN, primes, 65537)
+	serial, err = NewContextQP(logN, primes[:levels], primes[levels:], 65537)
 	if err != nil {
-		t.Fatalf("NewContext: %v", err)
+		t.Fatalf("NewContextQP: %v", err)
 	}
-	parallel, err = NewContext(logN, primes, 65537)
+	parallel, err = NewContextQP(logN, primes[:levels], primes[levels:], 65537)
 	if err != nil {
-		t.Fatalf("NewContext: %v", err)
+		t.Fatalf("NewContextQP: %v", err)
 	}
 	parallel.SetWorkers(NewWorkers(workers))
 	return serial, parallel
@@ -61,10 +62,6 @@ func TestParallelOpsDeterministic(t *testing.T) {
 			a := smp.UniformPoly(level, false)
 			b := smp.UniformPoly(level, false)
 			c := smp.UniformPoly(level, false)
-			scalars := make([]uint64, level+1)
-			for i := range scalars {
-				scalars[i] = uint64(12345+i) % serial.Moduli[i].Q
-			}
 
 			type opCase struct {
 				name string
@@ -114,40 +111,38 @@ func TestParallelOpsDeterministic(t *testing.T) {
 					ctx.MulCoeffsAdd(x, y, out)
 					return out
 				}},
-				{"MulCoeffsShoupAdd", func(ctx *Context, a, b, c *Poly) *Poly {
-					x, y := a.Copy(), b.Copy()
-					ctx.NTT(x)
-					ctx.NTT(y)
-					ys := ctx.ShoupPoly(y)
-					out := c.Copy()
-					out.IsNTT = true
-					ctx.MulCoeffsShoupAdd(x, y, ys, out)
-					return out
-				}},
 				{"MulScalar", func(ctx *Context, a, b, c *Poly) *Poly {
 					out := ctx.NewPoly(level)
 					ctx.MulScalar(a, 4242, out)
 					return out
 				}},
-				{"MulScalarVec", func(ctx *Context, a, b, c *Poly) *Poly {
+				{"AutomorphismNTT", func(ctx *Context, a, b, c *Poly) *Poly {
+					x := a.Copy()
+					ctx.NTT(x)
 					out := ctx.NewPoly(level)
-					ctx.MulScalarVec(a, scalars, out)
+					ctx.AutomorphismNTT(x, 5, out)
 					return out
 				}},
-				{"DecomposeBase2wCoeff", func(ctx *Context, a, b, c *Poly) *Poly {
-					digits := ctx.DecomposeBase2wCoeff(a, 45)
-					out := digits[0]
-					for _, d := range digits[1:] {
-						ctx.Add(out, d, out)
+				{"ModUp+KeySwitchDot+ModDown", func(ctx *Context, a, b, c *Poly) *Poly {
+					x := a.Copy()
+					ctx.NTT(x)
+					digits := ctx.ModUp(x)
+					key := make([]*Poly, len(digits))
+					keyS := make([]*PolyShoup, len(digits))
+					for j := range key {
+						key[j] = NewSeededSampler(ctx, uint64(j)).UniformPolyQP(level, true)
+						keyS[j] = ctx.ShoupPolyQP(key[j], level)
 					}
-					return out
-				}},
-				{"DecomposeBase2w", func(ctx *Context, a, b, c *Poly) *Poly {
-					digits := ctx.DecomposeBase2w(a, 45)
-					out := digits[0]
-					for _, d := range digits[1:] {
-						ctx.Add(out, d, out)
+					acc0, acc1 := ctx.NewPolyQP(level), ctx.NewPolyQP(level)
+					ctx.KeySwitchDot(digits, 5, key, key, keyS, keyS, acc0, acc1)
+					out := ctx.NewPoly(level)
+					ctx.ModDown(acc0, nil, out)
+					// Fold every digit and the second accumulator in too,
+					// so a divergence anywhere shows.
+					for _, d := range digits {
+						out.Coeffs = append(out.Coeffs, d.Coeffs...)
 					}
+					out.Coeffs = append(out.Coeffs, acc1.Coeffs...)
 					return out
 				}},
 			}
