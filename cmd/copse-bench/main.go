@@ -41,7 +41,7 @@ func main() {
 	shuffleJSON := flag.String("shufflejson", "", "also write the result-shuffle record (per-query shuffle cost at B=1 vs one batched pass at B=max, clear and BGV backends, rotation budget) to this file (e.g. BENCH_shuffle.json)")
 	aggJSON := flag.String("aggjson", "", "also write the dynamic-batching record (closed-loop 16-client throughput, batcher on vs off, clear plus BGV with -backend bgv) to this file (e.g. BENCH_agg.json)")
 	clusterJSON := flag.String("clusterjson", "", "also write the sharded-serving record (2-worker gateway/worker cluster over loopback HTTP vs single node, bit-identity witness plus fan-out/merge overhead, BGV) to this file (e.g. BENCH_cluster.json)")
-	genJSON := flag.String("genjson", "", "also write the kernel-specialization record (specialized op-program executor vs generic interpreter, bit-identity asserted, plus one compiled-and-run generated kernel) to this file (e.g. BENCH_gen.json)")
+	genJSON := flag.String("genjson", "", "also write the kernel-specialization record (specialized op-program executor vs generic interpreter, bit-identity asserted) to this file (e.g. BENCH_gen.json)")
 	noSpecialize := flag.Bool("nospecialize", false, "disable the specialized op-program executor (re-derive the pipeline from model structure per classify; the DESIGN.md §13 ablation)")
 	intraOp := flag.Int("intraop", 0, "ring-layer limb workers for BGV runs (default/1 = serial so ablation baselines stay single-threaded; n >= 2 enables the pool)")
 	secure128 := flag.Bool("secure128", false, "with -nttjson: also run the offline Security128 (N=32768) end-to-end classify (slow)")

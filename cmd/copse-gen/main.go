@@ -1,7 +1,7 @@
 // Command copse-gen produces the paper's benchmark inputs: the Table 6
 // microbenchmark forests and the synthetic income/soccer datasets. It
 // generates models and data to feed the pipeline — it does not generate
-// code; for specialized kernel codegen see `copse-compile -gen`.
+// code; for a model-specialized program see `copse-compile -emit`.
 //
 // Usage:
 //
@@ -77,6 +77,6 @@ func main() {
 			log.Fatal(err)
 		}
 	default:
-		log.Fatal("need -suite table6 or -dataset income|soccer (this tool generates benchmark inputs; for kernel codegen use copse-compile -gen)")
+		log.Fatal("need -suite table6 or -dataset income|soccer (this tool generates benchmark inputs; for code generation use copse-compile -emit)")
 	}
 }

@@ -53,7 +53,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -109,8 +108,8 @@ func main() {
 	listen := flag.String("listen", ":8080", "listen address")
 	backendArg := flag.String("backend", "bgv", "bgv or clear")
 	scenarioArg := flag.String("scenario", "offload", "offload, servermodel, or clienteval")
-	workersArg := flag.String("workers", "", "intra-query parallelism (empty/0 = GOMAXPROCS); in -gateway mode: comma-separated worker base URLs")
-	intraOp := flag.Int("intraop", 0, "ring-layer limb workers per op (0 = core budget, 1 = serial)")
+	workersArg := flag.String("workers", "", "intra-query parallelism: goroutines per classification pass (empty/0 = NumCPU / max(-max-inflight, 1)); in -gateway mode: comma-separated worker base URLs")
+	intraOp := flag.Int("intraop", 0, "ring-layer limb workers per op, an opt-in (0 = core budget: serial unless -workers leaves spare cores; 1 = serial)")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent classification cap (0 = unlimited)")
 	shedQueue := flag.Int("shedqueue", 0, "load-shedding queue bound: calls beyond -max-inflight wait here; overflow is rejected with 429 + Retry-After (0 = queue without bound; needs -max-inflight)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request classification timeout")
@@ -157,9 +156,6 @@ func main() {
 			log.Fatalf("-workers: want an integer outside -gateway mode, got %q", *workersArg)
 		}
 		workers = n
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 
 	if *workerMode {

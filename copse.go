@@ -160,42 +160,8 @@ func ReadManifest(r io.Reader) (*ShardManifest, error) { return core.ReadManifes
 // GenerateProgram emits a standalone Go program specialized to the
 // compiled model — the staging-compiler output of the paper's §5
 // (there it is C++ linking the runtime; here it is Go driving this
-// package's API). For an unrolled kernel package that plugs into an
-// existing binary instead, see GenerateKernel.
+// package's API).
 func GenerateProgram(w io.Writer, c *Compiled) error { return core.GenerateProgram(w, c) }
-
-// KernelCtx is the execution context generated specialized kernels run
-// against (DESIGN.md §13). Generated packages reference it through this
-// alias, since internal/core is unimportable from outside the module.
-type KernelCtx = core.KernelCtx
-
-// KernelFunc is the signature of a generated specialized kernel.
-type KernelFunc = core.KernelFunc
-
-// GenerateKernel emits the compiled model's specialized op programs as
-// an unrolled Go kernel package (`copse-compile -gen`): straight-line
-// kernels for the encrypted- and plaintext-model modes, registered
-// against the artifact hash in an init(). Linking the package into a
-// binary that registers the same artifact makes Classify dispatch to
-// the generated kernel; outputs are bit-identical to the interpreter.
-func GenerateKernel(w io.Writer, c *Compiled, pkg string) error {
-	return core.GenerateKernel(w, c, pkg)
-}
-
-// RegisterKernel installs a generated kernel for (artifact hash,
-// model-encryption mode); generated packages call it from init().
-func RegisterKernel(hash string, encrypted bool, numOps, numRegs int, fn KernelFunc) {
-	core.RegisterKernel(hash, encrypted, numOps, numRegs, fn)
-}
-
-// ArtifactHash returns the hex SHA-256 of the artifact's serialized
-// bytes — the key a generated kernel registers under.
-func ArtifactHash(c *Compiled) (string, error) { return core.ArtifactHash(c) }
-
-// KernelRuns reports how many times a generated kernel has executed in
-// this process — a witness that registry dispatch actually engaged
-// (outputs alone cannot tell, being bit-identical by design).
-func KernelRuns() int64 { return core.KernelRuns() }
 
 // BackendKind selects the homomorphic backend.
 type BackendKind int
@@ -272,7 +238,8 @@ type SystemConfig struct {
 	Scenario Scenario
 	Security SecurityPreset
 	// Workers is the intra-query parallelism (the paper's
-	// multithreaded mode); 0 or 1 means single-threaded.
+	// multithreaded mode; see WithWorkers): 0 takes the core budget's
+	// default, 1 means single-threaded.
 	Workers int
 	// IntraOpWorkers is the ring-layer limb parallelism of the BGV
 	// backend (see WithIntraOpWorkers): 0 derives it from the shared

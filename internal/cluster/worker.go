@@ -57,7 +57,8 @@ type WorkerConfig struct {
 	// from a key-material wire frame) instead of deriving it from
 	// Seed. It must carry the secret key and evaluation keys.
 	Material *hebgv.Material
-	// Workers is the intra-query stage parallelism (copse.WithWorkers).
+	// Workers is the intra-query parallelism (copse.WithWorkers; 0
+	// takes the service's core-budget default).
 	Workers int
 	// IntraOpWorkers is the ring-layer limb parallelism.
 	IntraOpWorkers int

@@ -101,13 +101,17 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 		}
 		m.Levels = append(m.Levels, d)
 	}
+	// Masks are XORed onto the level products after their
+	// relinearization, which drops one prime: stage them there, so the
+	// XOR meets no level mismatch to align.
+	maskAt := level(func(s StageLevels) int { return max(s.Level-1, 0) })
 	var maskVals [][]uint64
 	for _, mask := range c.Masks {
 		padded := make([]uint64, b.Slots())
 		for base := 0; base < len(padded); base += span {
 			copy(padded[base:base+len(mask)], mask)
 		}
-		op, err := makeOperand(b, padded, encrypt, lvlAt)
+		op, err := makeOperand(b, padded, encrypt, maskAt)
 		if err != nil {
 			return nil, err
 		}
@@ -126,8 +130,7 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 }
 
 // buildSpecialized compiles and binds the op program for freshly
-// prepared operands, then resolves a linked generated kernel if one is
-// registered for this artifact.
+// prepared operands.
 func (m *ModelOperands) buildSpecialized(b he.Backend, c *Compiled, encrypt bool, maskVals [][]uint64) error {
 	in := progInputs{
 		meta:      m.Meta,
@@ -160,7 +163,6 @@ func (m *ModelOperands) buildSpecialized(b he.Backend, c *Compiled, encrypt bool
 	if err := p.bind(b); err != nil {
 		return fmt.Errorf("core: binding specialized program: %w", err)
 	}
-	p.kernel = lookupKernel(c, encrypt, p)
 	m.Program = p
 	return nil
 }
@@ -195,8 +197,10 @@ func replicatePlain(vals []uint64, period, slots int) []uint64 {
 // shipped backends do).
 type Engine struct {
 	Backend he.Backend
-	// Workers is the number of goroutines used inside each stage.
-	// 1 (or 0) means single-threaded — the paper's sequential runs.
+	// Workers is the number of goroutines a classification runs on: the
+	// op program's independent ops (or the generic interpreter's
+	// per-stage loops) spread across them. 1 (or 0) means
+	// single-threaded — the paper's sequential runs.
 	Workers int
 	// SkipZeroDiagonals enables the plaintext-model optimization of
 	// skipping all-zero matrix diagonals. It is ignored for encrypted
@@ -220,9 +224,9 @@ type Engine struct {
 	// DisableSpecialization skips the model's compiled op program and
 	// runs the generic interpreter — the ablation baseline for the
 	// specialized executor (`WithSpecialization(false)` / `copse-bench
-	// -nospecialize`). Default (false) dispatches to the program (or a
-	// linked generated kernel) whenever the model carries one and the
-	// engine configuration matches its build-time assumptions.
+	// -nospecialize`). Default (false) dispatches to the program
+	// whenever the model carries one and the engine configuration
+	// matches its build-time assumptions.
 	DisableSpecialization bool
 	// MeasureNoise records the decrypt-side measured noise budget of the
 	// carrier ciphertext at every stage boundary in Trace.Noise — the
@@ -254,8 +258,8 @@ type Trace struct {
 	// and on backends without noise).
 	Noise StageNoise
 	// Executor names the classify path that ran: "generic" (the
-	// structure-rederiving interpreter), "program" (the specialized op
-	// program), or "kernel" (a linked generated kernel).
+	// structure-rederiving interpreter) or "program" (the specialized op
+	// program).
 	Executor string
 }
 
@@ -301,9 +305,9 @@ func (e *Engine) Classify(m *ModelOperands, q *Query) (he.Operand, *Trace, error
 
 // ClassifyCtx evaluates the model on an encrypted query (or slot-packed
 // query batch — the dataflow is identical), returning the result operand
-// and a stage trace. The context is checked between pipeline stages, so
-// a cancelled request stops before starting its next (expensive) stage;
-// an already-running stage finishes first.
+// and a stage trace. The op program checks the context before every op,
+// so a cancelled request stops mid-stage; the generic interpreter checks
+// it between pipeline stages.
 func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (he.Operand, *Trace, error) {
 	if len(q.Bits) != len(m.Thresholds) {
 		return he.Operand{}, nil, fmt.Errorf("core: query has %d bit planes, model wants %d", len(q.Bits), len(m.Thresholds))

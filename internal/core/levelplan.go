@@ -54,7 +54,9 @@ type StageLevels struct {
 	Compare int
 	// Reshuffle is the reshuffle mat-vec entry (reshuffle diagonals).
 	Reshuffle int
-	// Level is the per-level mat-vec entry (level diagonals and masks).
+	// Level is the per-level mat-vec entry (level diagonals). Masks are
+	// staged one level lower, where their XOR runs: after the mat-vec's
+	// relinearization has dropped a prime.
 	Level int
 	// Accumulate is the product-tree entry.
 	Accumulate int
@@ -596,7 +598,7 @@ func simulatePipeline(nm noiseModel, sh pipelineShape, encModel bool, e stageEnt
 	lvlDiag, mask := simPlain(), simPlain()
 	if encModel {
 		lvlDiag = nm.simFresh(e.level)
-		mask = nm.simFresh(e.level)
+		mask = nm.simFresh(max(e.level-1, 0))
 	}
 	entryHot = hot(branch)
 	lvl := s.xor(s.matVec(branch, lvlDiag, sh.bSplit[0], sh.bSplit[1]), mask)

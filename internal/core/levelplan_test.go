@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"copse/internal/bgv"
 	"copse/internal/he"
 	"copse/internal/he/hebgv"
+	"copse/internal/matrix"
 	"copse/internal/model"
 	"copse/internal/synth"
 )
@@ -430,5 +434,110 @@ func TestNoiseModelMatchesEvaluator(t *testing.T) {
 				t.Errorf("LogN %d level %d: key-switch noise %.2f, planner %.2f", p.LogN, level, rot.NoiseBits, want)
 			}
 		}
+	}
+}
+
+// levelAudit wraps a BGV backend and records every binary op in which a
+// staged model component (threshold plane, matrix diagonal or level
+// mask) meets its partner operand at a different level: each such
+// meeting costs a ciphertext copy and a modulus switch on every pass.
+type levelAudit struct {
+	*hebgv.Backend
+	model map[he.Ciphertext]string
+
+	mu     sync.Mutex
+	misses []string
+}
+
+func (a *levelAudit) check(op string, x, y he.Ciphertext) {
+	name, ok := a.model[x]
+	if !ok {
+		name, ok = a.model[y]
+	}
+	if !ok {
+		return
+	}
+	lx, _ := a.CiphertextLevel(x)
+	ly, _ := a.CiphertextLevel(y)
+	if lx != ly {
+		a.mu.Lock()
+		a.misses = append(a.misses, fmt.Sprintf("%s: %s meets levels %d and %d", op, name, lx, ly))
+		a.mu.Unlock()
+	}
+}
+
+func (a *levelAudit) Add(x, y he.Ciphertext) (he.Ciphertext, error) {
+	a.check("Add", x, y)
+	return a.Backend.Add(x, y)
+}
+
+func (a *levelAudit) Sub(x, y he.Ciphertext) (he.Ciphertext, error) {
+	a.check("Sub", x, y)
+	return a.Backend.Sub(x, y)
+}
+
+func (a *levelAudit) Mul(x, y he.Ciphertext) (he.Ciphertext, error) {
+	a.check("Mul", x, y)
+	return a.Backend.Mul(x, y)
+}
+
+func (a *levelAudit) MulLazy(x, y he.Ciphertext) (he.Ciphertext, error) {
+	a.check("MulLazy", x, y)
+	return a.Backend.MulLazy(x, y)
+}
+
+// TestModelOperandsStagedAtUseLevel: on the depth4 offload pipeline,
+// every encrypted model component is staged at exactly the level of the
+// operand it is combined with, so no pass pays a reactive alignment.
+func TestModelOperandsStagedAtUseLevel(t *testing.T) {
+	f := planForests(t, false)["depth4"]
+	c, err := Compile(f, Options{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := planBackend(t, c, true)
+	m, err := Prepare(b, c, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit := &levelAudit{Backend: b, model: map[he.Ciphertext]string{}}
+	for j, th := range m.Thresholds {
+		audit.model[th.Ct] = fmt.Sprintf("threshold %d", j)
+	}
+	for l, mask := range m.Masks {
+		audit.model[mask.Ct] = fmt.Sprintf("mask %d", l)
+	}
+	for mi, d := range append([]*matrix.Diagonals{m.Reshuffle}, m.Levels...) {
+		for i, op := range d.BsgsOps {
+			if op.IsCipher() {
+				audit.model[op.Ct] = fmt.Sprintf("matrix %d diagonal %d", mi, i)
+			}
+		}
+	}
+	q, err := PrepareQuery(b, &m.Meta, []uint64{3, 5}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &Engine{Backend: audit, Workers: 2}
+	out, trace, err := e.Classify(m, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trace.Executor != "program" {
+		t.Fatalf("ran executor %q, want the op program", trace.Executor)
+	}
+	for _, miss := range audit.misses {
+		t.Error(miss)
+	}
+	slots, err := he.Reveal(b, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := DecodeResult(&m.Meta, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := f.Classify([]uint64{3, 5}); !slices.Equal(res.PerTree, want) {
+		t.Errorf("per-tree labels %v, want %v", res.PerTree, want)
 	}
 }

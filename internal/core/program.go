@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"copse/internal/he"
@@ -33,14 +34,15 @@ import (
 // Every rewrite preserves the decrypted result bit-for-bit (BGV
 // arithmetic mod t is exact; only noise estimates differ), which the
 // specialized-vs-generic property tests assert across the scenario
-// corpus. Registers are SSA — each op writes a fresh register — so the
-// block segments below parallelize without synchronization and the merge
-// order stays deterministic.
+// corpus. Registers are SSA — each op writes a fresh register — so any
+// two ops whose inputs are ready can run concurrently without
+// synchronization, and the result is identical for any schedule
+// (executor.go runs the program's dependency graph on the engine's
+// workers).
 
 // opCode enumerates the primitive ops of the program IR. The operand
-// fields of progOp are interpreted per code; see KernelCtx for the
-// runtime semantics (the interpreter and the generated kernels share its
-// methods, so the two executors are bit-identical by construction).
+// fields of progOp are interpreted per code; see passCtx.exec for the
+// runtime semantics.
 type opCode uint8
 
 const (
@@ -69,9 +71,9 @@ type progOp struct {
 	Imm, Imm2 int
 }
 
-// Pipeline stage tags, in execution order. Blocks carry them so the
-// executor can keep the per-stage trace windows of the generic path, and
-// generated kernels mark the same boundaries with KernelCtx.Stage.
+// Pipeline stage tags, in execution order. Ops are emitted stage by
+// stage, and the executor keeps the per-stage trace windows of the
+// generic path by running each stage to completion before the next.
 const (
 	stCompare = iota
 	stReshuffle
@@ -80,21 +82,10 @@ const (
 	stDone
 )
 
-// progBlock is a run of contiguous ops split into segments. Blocks
-// execute in order; within a block the segments are independent (SSA
-// registers, disjoint writes) and run on the engine's worker pool. All
-// cross-segment merges live in later single-segment blocks, in fixed
-// index order, so the result is identical for any worker count.
-type progBlock struct {
-	Stage int
-	Segs  [][2]int // [start, end) op index ranges
-}
-
 // constKind enumerates the bind-time plaintext constants. Their slot
 // values are derived from the model's plaintext components and the
 // backend's plaintext modulus when the program is bound, so the program
-// itself is backend-agnostic (and the generated kernel source carries
-// only indices).
+// itself is backend-agnostic.
 type constKind uint8
 
 const (
@@ -118,11 +109,18 @@ type constSpec struct {
 // dispatch).
 type Program struct {
 	ops    []progOp
-	blocks []progBlock
 	hoists [][]int
 	consts []constSpec
 	numReg int
 	result int
+
+	// stageEnd[s] is one past the last op of pipeline stage s: stage s
+	// is ops[stageEnd[s-1]:stageEnd[s]].
+	stageEnd [stDone]int
+	// producers[i] are the ops writing the registers op i reads, and
+	// consumers[i] the ops reading a register op i writes, each listed
+	// once. A hoist op produces its whole output register run.
+	producers, consumers [][]int
 
 	// Trace registers: the carrier operands whose limb counts the
 	// per-stage trace reports, mirroring the generic path's boundaries.
@@ -137,7 +135,7 @@ type Program struct {
 	// stageLimbs[stage] is the carrier limb count each pipeline stage
 	// runs over under the baked-in level schedule (level+1), or 0 when
 	// no schedule was compiled. The executor forwards it as an advisory
-	// ring-dispatch hint at every stage transition (KernelCtx.StageLimbs).
+	// ring-dispatch hint at every stage transition.
 	stageLimbs [stDone]int
 
 	// Plaintext component values backing the bind-time constants
@@ -146,21 +144,11 @@ type Program struct {
 	maskVals   [][]uint64
 
 	bound   []he.Operand // staged constants, set by bind
-	kernel  KernelFunc   // linked generated kernel, if one is registered
 	scratch sync.Pool
 }
 
-// NumOps returns the op count — the registry's cheap structural
-// fingerprint for validating that a linked kernel matches the program
-// built from the runtime artifact.
-func (p *Program) NumOps() int { return len(p.ops) }
-
-// NumRegs returns the register file size.
-func (p *Program) NumRegs() int { return p.numReg }
-
-// progInputs is everything buildProgram needs. It is assembled either
-// from freshly prepared operands (PrepareWithPlan) or from the compiled
-// artifact alone (GenerateKernel), producing the same program.
+// progInputs is everything buildProgram needs, assembled from freshly
+// prepared operands (PrepareWithPlan).
 type progInputs struct {
 	meta      Meta
 	plan      *StageLevels // nil = no scheduled drops
@@ -176,8 +164,7 @@ type progInputs struct {
 }
 
 // diagShape is the structural skeleton of a staged diagonal matrix: the
-// BSGS split and the plaintext-known zero diagonals. It carries no
-// operands, so codegen can build programs straight from an artifact.
+// BSGS split and the plaintext-known zero diagonals.
 type diagShape struct {
 	period, baby, giant int
 	zero                []bool // per pre-rotated diagonal index
@@ -193,81 +180,11 @@ func diagShapeOf(d *matrix.Diagonals) (diagShape, bool) {
 	return diagShape{period: d.Period, baby: d.Baby, giant: d.Giant, zero: d.BsgsZero}, true
 }
 
-// shapeFromMatrix computes the skeleton the staging of mtx would
-// produce, without a backend: the same BSGS split decision as
-// PrepareWithPlan and the same all-zero diagonal flags.
-func shapeFromMatrix(m *Meta, mtx *matrix.Bool, period int) (diagShape, bool) {
-	baby, giant, ok := m.BSGSFor(period)
-	if !m.UseBSGS || !ok {
-		return diagShape{}, false
-	}
-	raw, err := mtx.Diagonals(period)
-	if err != nil {
-		return diagShape{}, false
-	}
-	zero := make([]bool, period)
-	for i, vec := range raw {
-		z := true
-		for _, v := range vec {
-			if v != 0 {
-				z = false
-				break
-			}
-		}
-		zero[i] = z
-	}
-	return diagShape{period: period, baby: baby, giant: giant, zero: zero}, true
-}
-
-// programInputsFromCompiled assembles build inputs from an artifact
-// alone — the codegen entry point. ok is false when the model's staging
-// is outside the specializer's coverage.
-func programInputsFromCompiled(c *Compiled, encrypt bool, plan *LevelPlan) (progInputs, bool) {
-	in := progInputs{
-		meta:      c.Meta,
-		encrypted: encrypt,
-		slots:     c.Meta.Slots,
-		planes:    len(c.ThresholdBits),
-	}
-	if plan != nil {
-		st := plan.For(encrypt)
-		in.plan = &st
-	}
-	var ok bool
-	if in.reshuffle, ok = shapeFromMatrix(&c.Meta, c.Reshuffle, c.Meta.QPad); !ok {
-		return progInputs{}, false
-	}
-	for _, lm := range c.Levels {
-		sh, ok := shapeFromMatrix(&c.Meta, lm, c.Meta.BPad)
-		if !ok {
-			return progInputs{}, false
-		}
-		in.levels = append(in.levels, sh)
-	}
-	if !encrypt {
-		span := c.Meta.BatchBlock()
-		for _, plane := range c.ThresholdBits {
-			in.threshVals = append(in.threshVals, replicatePlain(plane, c.Meta.QPad, in.slots))
-		}
-		for _, mask := range c.Masks {
-			padded := make([]uint64, in.slots)
-			for base := 0; base < len(padded); base += span {
-				copy(padded[base:base+len(mask)], mask)
-			}
-			in.maskVals = append(in.maskVals, padded)
-		}
-	}
-	return in, true
-}
-
-// progBuilder accumulates ops, blocks and constants while walking the
-// pipeline symbolically.
+// progBuilder accumulates ops and constants while walking the pipeline
+// symbolically.
 type progBuilder struct {
 	p       *Program
 	constIx map[constSpec]int
-	segs    [][2]int
-	segOpen int
-	stage   int
 }
 
 func (bl *progBuilder) emit(code opCode, a, b, imm, imm2 int) int {
@@ -277,28 +194,9 @@ func (bl *progBuilder) emit(code opCode, a, b, imm, imm2 int) int {
 	return dst
 }
 
-// seg runs fn and records the ops it emitted as one segment of the
-// current block.
-func (bl *progBuilder) seg(fn func()) {
-	start := len(bl.p.ops)
-	fn()
-	if len(bl.p.ops) > start {
-		bl.segs = append(bl.segs, [2]int{start, len(bl.p.ops)})
-	}
-}
-
-// flush closes the current block (if any ops were recorded) under the
-// given stage tag.
-func (bl *progBuilder) flush(stage int) {
-	if len(bl.segs) > 0 {
-		bl.p.blocks = append(bl.p.blocks, progBlock{Stage: stage, Segs: bl.segs})
-		bl.segs = nil
-	}
-}
-
 // constReg returns the register of a bind-time constant, deduplicated.
 // Loads are free at run time (a register alias), so each constant is
-// loaded once in the program preamble block it first appears in.
+// loaded once, where it first appears.
 func (bl *progBuilder) constReg(spec constSpec) int {
 	if r, ok := bl.constIx[spec]; ok {
 		return r
@@ -366,49 +264,41 @@ func buildProgram(in progInputs) *Program {
 	nPlanes := in.planes
 	q := make([]int, nPlanes)
 	ones := -1
-	bl.seg(func() {
-		for j := 0; j < nPlanes; j++ {
-			q[j] = bl.emit(opQuery, 0, 0, j, 0)
-			if L != nil {
-				q[j] = bl.drop(q[j], L.Compare)
-			}
+	for j := 0; j < nPlanes; j++ {
+		q[j] = bl.emit(opQuery, 0, 0, j, 0)
+		if L != nil {
+			q[j] = bl.drop(q[j], L.Compare)
 		}
-		if in.encrypted {
-			ones = bl.constReg(constSpec{Kind: ckOnes})
-		}
-	})
+	}
+	if in.encrypted {
+		ones = bl.constReg(constSpec{Kind: ckOnes})
+	}
 	p.regQuery = q[0]
-	bl.flush(stCompare)
 
-	// Per-plane eq/gt terms, one independent segment per plane.
+	// Per-plane eq/gt terms.
 	eq := make([]int, nPlanes)
 	gt := make([]int, nPlanes)
 	for j := 0; j < nPlanes; j++ {
-		j := j
-		bl.seg(func() {
-			if in.encrypted {
-				th := bl.emit(opThresh, 0, 0, j, 0)
-				prod := bl.emit(opMul, q[j], th, 0, 0)
-				sum := bl.emit(opAdd, q[j], th, 0, 0)
-				twice := bl.emit(opAdd, prod, prod, 0, 0)
-				x := bl.emit(opSub, sum, twice, 0, 0)
-				neg := bl.emit(opNeg, x, 0, 0, 0)
-				eq[j] = bl.emit(opAdd, neg, ones, 0, 0)
-				gt[j] = bl.emit(opSub, q[j], prod, 0, 0)
-			} else {
-				coef := bl.constReg(constSpec{Kind: ckThreshCoef, Index: j})
-				not := bl.constReg(constSpec{Kind: ckThreshNot, Index: j})
-				scaled := bl.emit(opMul, q[j], coef, 0, 0)
-				eq[j] = bl.emit(opAdd, scaled, not, 0, 0)
-				gt[j] = bl.emit(opMul, q[j], not, 0, 0)
-			}
-		})
+		if in.encrypted {
+			th := bl.emit(opThresh, 0, 0, j, 0)
+			prod := bl.emit(opMul, q[j], th, 0, 0)
+			sum := bl.emit(opAdd, q[j], th, 0, 0)
+			twice := bl.emit(opAdd, prod, prod, 0, 0)
+			x := bl.emit(opSub, sum, twice, 0, 0)
+			neg := bl.emit(opNeg, x, 0, 0, 0)
+			eq[j] = bl.emit(opAdd, neg, ones, 0, 0)
+			gt[j] = bl.emit(opSub, q[j], prod, 0, 0)
+		} else {
+			coef := bl.constReg(constSpec{Kind: ckThreshCoef, Index: j})
+			not := bl.constReg(constSpec{Kind: ckThreshNot, Index: j})
+			scaled := bl.emit(opMul, q[j], coef, 0, 0)
+			eq[j] = bl.emit(opAdd, scaled, not, 0, 0)
+			gt[j] = bl.emit(opMul, q[j], not, 0, 0)
+		}
 	}
-	bl.flush(stCompare)
 
 	// Sklansky prefix products over eq, with the per-round level drops
-	// of the generic schedule. Each round's multiplications are
-	// independent (distinct targets, shared read-only pivots).
+	// of the generic schedule.
 	incl := make([]int, nPlanes)
 	copy(incl, eq)
 	round := 0
@@ -419,18 +309,13 @@ func buildProgram(in progInputs) *Program {
 				break
 			}
 			for i := pivot + 1; i <= pivot+span && i < nPlanes; i++ {
-				i := i
-				bl.seg(func() { incl[i] = bl.emit(opMul, incl[i], incl[pivot], 0, 0) })
+				incl[i] = bl.emit(opMul, incl[i], incl[pivot], 0, 0)
 			}
 		}
-		bl.flush(stCompare)
 		if L != nil && round < len(L.CompareRounds) {
-			bl.seg(func() {
-				for i := range incl {
-					incl[i] = bl.drop(incl[i], L.CompareRounds[round])
-				}
-			})
-			bl.flush(stCompare)
+			for i := range incl {
+				incl[i] = bl.drop(incl[i], L.CompareRounds[round])
+			}
 		}
 		round++
 	}
@@ -439,43 +324,35 @@ func buildProgram(in progInputs) *Program {
 	// pre_0 = 1, so the j=0 term is gt_0 itself.
 	terms := make([]int, nPlanes)
 	for j := 1; j < nPlanes; j++ {
-		j := j
-		bl.seg(func() { terms[j] = bl.emit(opMulLazy, gt[j], incl[j-1], 0, 0) })
+		terms[j] = bl.emit(opMulLazy, gt[j], incl[j-1], 0, 0)
 	}
-	bl.flush(stCompare)
-	var decisions int
-	bl.seg(func() {
-		acc := gt[0]
-		for j := 1; j < nPlanes; j++ {
-			acc = bl.emit(opAdd, acc, terms[j], 0, 0)
-		}
-		if nPlanes > 1 {
-			acc = bl.emit(opRelin, acc, 0, 0, 0)
-		}
-		if L != nil {
-			acc = bl.drop(acc, L.Reshuffle)
-		}
-		decisions = acc
-	})
+	decisions := gt[0]
+	for j := 1; j < nPlanes; j++ {
+		decisions = bl.emit(opAdd, decisions, terms[j], 0, 0)
+	}
+	if nPlanes > 1 {
+		decisions = bl.emit(opRelin, decisions, 0, 0, 0)
+	}
+	if L != nil {
+		decisions = bl.drop(decisions, L.Reshuffle)
+	}
 	p.regDecisions = decisions
-	bl.flush(stCompare)
+	bl.endStage(stCompare)
 
 	// ---- Stage 2: reshuffle -----------------------------------------
-	branch, ok := bl.matVec(in.reshuffle, decisions, -1, skipZero, stReshuffle)
+	branch, ok := bl.matVec(in.reshuffle, decisions, -1, skipZero)
 	if !ok {
 		return nil
 	}
-	bl.seg(func() {
-		for pw := in.meta.BPad; pw < in.meta.BatchBlock(); pw <<= 1 {
-			rot := bl.emit(opRot, branch, 0, -pw, 0)
-			branch = bl.emit(opAdd, branch, rot, 0, 0)
-		}
-		if L != nil {
-			branch = bl.drop(branch, L.Level)
-		}
-	})
+	for pw := in.meta.BPad; pw < in.meta.BatchBlock(); pw <<= 1 {
+		rot := bl.emit(opRot, branch, 0, -pw, 0)
+		branch = bl.emit(opAdd, branch, rot, 0, 0)
+	}
+	if L != nil {
+		branch = bl.drop(branch, L.Level)
+	}
 	p.regBranchVec = branch
-	bl.flush(stReshuffle)
+	bl.endStage(stReshuffle)
 
 	// ---- Stage 3: levels --------------------------------------------
 	// One shared set of baby rotations feeds every level product; under
@@ -490,65 +367,57 @@ func buildProgram(in progInputs) *Program {
 			}
 		}
 	}
-	rots := bl.hoistRots(branch, needed, stLevels)
+	rots := bl.hoistRots(branch, needed)
 
 	lvlGroups := make([][]int, len(in.levels))
 	for l, sh := range in.levels {
 		lvlGroups[l] = bl.matVecGroups(sh, rots, l, skipZero)
 	}
-	bl.flush(stLevels)
 	lvlRes := make([]int, len(in.levels))
 	for l := range in.levels {
-		l := l
-		bl.seg(func() {
-			lvl := bl.mergeGroups(lvlGroups[l])
-			if in.encrypted {
-				mask := bl.emit(opMask, 0, 0, l, 0)
-				prod := bl.emit(opMul, lvl, mask, 0, 0)
-				sum := bl.emit(opAdd, lvl, mask, 0, 0)
-				twice := bl.emit(opAdd, prod, prod, 0, 0)
-				lvl = bl.emit(opSub, sum, twice, 0, 0)
-			} else if !allZero(in.maskVals[l]) {
-				coef := bl.constReg(constSpec{Kind: ckMaskCoef, Index: l})
-				add := bl.constReg(constSpec{Kind: ckMaskAdd, Index: l})
-				scaled := bl.emit(opMul, lvl, coef, 0, 0)
-				lvl = bl.emit(opAdd, scaled, add, 0, 0)
-			}
-			// An all-zero plaintext mask XORs to the identity: alias.
-			if L != nil {
-				lvl = bl.drop(lvl, L.Accumulate)
-			}
-			lvlRes[l] = lvl
-		})
+		lvl := bl.mergeGroups(lvlGroups[l])
+		if in.encrypted {
+			mask := bl.emit(opMask, 0, 0, l, 0)
+			prod := bl.emit(opMul, lvl, mask, 0, 0)
+			sum := bl.emit(opAdd, lvl, mask, 0, 0)
+			twice := bl.emit(opAdd, prod, prod, 0, 0)
+			lvl = bl.emit(opSub, sum, twice, 0, 0)
+		} else if !allZero(in.maskVals[l]) {
+			coef := bl.constReg(constSpec{Kind: ckMaskCoef, Index: l})
+			add := bl.constReg(constSpec{Kind: ckMaskAdd, Index: l})
+			scaled := bl.emit(opMul, lvl, coef, 0, 0)
+			lvl = bl.emit(opAdd, scaled, add, 0, 0)
+		}
+		// An all-zero plaintext mask XORs to the identity: alias.
+		if L != nil {
+			lvl = bl.drop(lvl, L.Accumulate)
+		}
+		lvlRes[l] = lvl
 	}
-	bl.flush(stLevels)
 	p.regLevelResult = lvlRes[0]
+	bl.endStage(stLevels)
 
 	// ---- Stage 4: accumulate ----------------------------------------
 	ops := lvlRes
 	for len(ops) > 1 {
-		pairs := len(ops) / 2
-		next := make([]int, pairs)
-		for i := 0; i < pairs; i++ {
-			i := i
-			bl.seg(func() { next[i] = bl.emit(opMul, ops[2*i], ops[2*i+1], 0, 0) })
+		next := make([]int, 0, (len(ops)+1)/2)
+		for i := 0; i+1 < len(ops); i += 2 {
+			next = append(next, bl.emit(opMul, ops[i], ops[i+1], 0, 0))
 		}
-		bl.flush(stAccumulate)
 		if len(ops)%2 == 1 {
 			next = append(next, ops[len(ops)-1])
 		}
 		ops = next
 	}
 	res := ops[0]
-	bl.seg(func() {
-		if L != nil {
-			res = bl.drop(res, L.Final)
-		}
-	})
-	bl.flush(stAccumulate)
+	if L != nil {
+		res = bl.drop(res, L.Final)
+	}
 	p.result = res
+	bl.endStage(stAccumulate)
 
 	p.eliminateDeadOps()
+	p.link()
 	p.scratch.New = func() any {
 		s := make([]he.Operand, p.numReg)
 		return &s
@@ -556,9 +425,13 @@ func buildProgram(in progInputs) *Program {
 	return p
 }
 
+// endStage closes stage s after the ops emitted so far (ops are emitted
+// in stage order).
+func (bl *progBuilder) endStage(s int) { bl.p.stageEnd[s] = len(bl.p.ops) }
+
 // hoistRots emits the hoisted rotations for the needed baby steps and
 // returns one register per baby index (index 0 aliases the source).
-func (bl *progBuilder) hoistRots(src int, needed []bool, stage int) []int {
+func (bl *progBuilder) hoistRots(src int, needed []bool) []int {
 	rots := make([]int, len(needed))
 	rots[0] = src
 	var steps []int
@@ -568,58 +441,43 @@ func (bl *progBuilder) hoistRots(src int, needed []bool, stage int) []int {
 		}
 	}
 	if len(steps) > 0 {
-		bl.seg(func() {
-			bl.p.hoists = append(bl.p.hoists, steps)
-			dst := bl.p.numReg
-			bl.p.numReg += len(steps)
-			bl.p.ops = append(bl.p.ops, progOp{Code: opHoist, Dst: dst, A: src, Imm: len(bl.p.hoists) - 1})
-			for i, s := range steps {
-				rots[s] = dst + i
-			}
-		})
-		bl.flush(stage)
+		bl.p.hoists = append(bl.p.hoists, steps)
+		dst := bl.p.numReg
+		bl.p.numReg += len(steps)
+		bl.p.ops = append(bl.p.ops, progOp{Code: opHoist, Dst: dst, A: src, Imm: len(bl.p.hoists) - 1})
+		for i, s := range steps {
+			rots[s] = dst + i
+		}
 	}
 	return rots
 }
 
 // matVecGroups emits the per-giant-group inner products of one BSGS
-// matrix-vector product as independent segments of the current block,
-// returning the group result registers (-1 for skipped groups).
+// matrix-vector product, returning the group result registers (-1 for
+// skipped groups).
 func (bl *progBuilder) matVecGroups(sh diagShape, rots []int, mat int, skipZero bool) []int {
 	groups := make([]int, sh.giant)
 	for g := 0; g < sh.giant; g++ {
-		g := g
-		groups[g] = -1
-		any := false
+		acc := -1
 		for j := 0; j < sh.baby; j++ {
-			if !(skipZero && sh.zero[g*sh.baby+j]) {
-				any = true
-				break
+			i := g*sh.baby + j
+			if skipZero && sh.zero[i] {
+				continue
+			}
+			term := bl.emit(opMulDiag, rots[j], 0, mat, i)
+			if acc < 0 {
+				acc = term
+			} else {
+				acc = bl.emit(opAdd, acc, term, 0, 0)
 			}
 		}
-		if !any {
-			continue
-		}
-		bl.seg(func() {
-			acc := -1
-			for j := 0; j < sh.baby; j++ {
-				i := g*sh.baby + j
-				if skipZero && sh.zero[i] {
-					continue
-				}
-				term := bl.emit(opMulDiag, rots[j], 0, mat, i)
-				if acc < 0 {
-					acc = term
-				} else {
-					acc = bl.emit(opAdd, acc, term, 0, 0)
-				}
-			}
+		if acc >= 0 {
 			acc = bl.emit(opRelin, acc, 0, 0, 0)
 			if g > 0 {
 				acc = bl.emit(opRot, acc, 0, g*sh.baby, 0)
 			}
-			groups[g] = acc
-		})
+		}
+		groups[g] = acc
 	}
 	return groups
 }
@@ -642,10 +500,10 @@ func (bl *progBuilder) mergeGroups(groups []int) int {
 }
 
 // matVec emits a full BSGS matrix-vector product: hoisted baby
-// rotations, parallel group products, serial merge. ok is false when
-// every diagonal is skippable (the generic path's plaintext-zeros
-// shortcut; unsupported here).
-func (bl *progBuilder) matVec(sh diagShape, vec, mat int, skipZero bool, stage int) (int, bool) {
+// rotations, group products, index-order merge. ok is false when every
+// diagonal is skippable (the generic path's plaintext-zeros shortcut;
+// unsupported here).
+func (bl *progBuilder) matVec(sh diagShape, vec, mat int, skipZero bool) (int, bool) {
 	needed := make([]bool, sh.baby)
 	needed[0] = true
 	anyDiag := false
@@ -658,13 +516,8 @@ func (bl *progBuilder) matVec(sh diagShape, vec, mat int, skipZero bool, stage i
 	if !anyDiag {
 		return 0, false
 	}
-	rots := bl.hoistRots(vec, needed, stage)
-	groups := bl.matVecGroups(sh, rots, mat, skipZero)
-	bl.flush(stage)
-	var out int
-	bl.seg(func() { out = bl.mergeGroups(groups) })
-	bl.flush(stage)
-	return out, true
+	rots := bl.hoistRots(vec, needed)
+	return bl.mergeGroups(bl.matVecGroups(sh, rots, mat, skipZero)), true
 }
 
 // eliminateDeadOps removes ops whose results never reach the program
@@ -681,61 +534,72 @@ func (p *Program) eliminateDeadOps() {
 	keep := make([]bool, len(p.ops))
 	for i := len(p.ops) - 1; i >= 0; i-- {
 		op := p.ops[i]
-		isLive := false
-		if op.Code == opHoist {
-			for r := op.Dst; r < op.Dst+len(p.hoists[op.Imm]); r++ {
-				if live[r] {
-					isLive = true
-					break
-				}
+		keep[i] = slices.Contains(live[op.Dst:op.Dst+p.width(op)], true)
+		if keep[i] {
+			for _, r := range op.reads() {
+				live[r] = true
 			}
-		} else {
-			isLive = live[op.Dst]
-		}
-		keep[i] = isLive
-		if !isLive {
-			continue
-		}
-		switch op.Code {
-		case opAdd, opSub, opMul, opMulLazy:
-			live[op.A] = true
-			live[op.B] = true
-		case opMulDiag, opRelin, opNeg, opRot, opHoist, opDrop:
-			live[op.A] = true
 		}
 	}
-	// Rewrite the op list and remap block segment ranges. Deletions
-	// preserve order, so segments stay contiguous.
-	newIndex := make([]int, len(p.ops)+1)
-	n := 0
-	for i, k := range keep {
-		newIndex[i] = n
-		if k {
-			n++
-		}
-	}
-	newIndex[len(p.ops)] = n
-	ops := make([]progOp, 0, n)
+	// Deletions preserve order, so each stage stays contiguous: its end
+	// moves down by the ops deleted before it.
+	ops := p.ops[:0]
+	s := 0
 	for i, op := range p.ops {
+		for s < stDone && p.stageEnd[s] == i {
+			p.stageEnd[s] = len(ops)
+			s++
+		}
 		if keep[i] {
 			ops = append(ops, op)
 		}
 	}
+	for ; s < stDone; s++ {
+		p.stageEnd[s] = len(ops)
+	}
 	p.ops = ops
-	var blocks []progBlock
-	for _, blk := range p.blocks {
-		var segs [][2]int
-		for _, s := range blk.Segs {
-			ns, ne := newIndex[s[0]], newIndex[s[1]]
-			if ne > ns {
-				segs = append(segs, [2]int{ns, ne})
-			}
-		}
-		if len(segs) > 0 {
-			blocks = append(blocks, progBlock{Stage: blk.Stage, Segs: segs})
+}
+
+// width is the number of registers op writes (a hoist writes one per
+// step).
+func (p *Program) width(op progOp) int {
+	if op.Code == opHoist {
+		return len(p.hoists[op.Imm])
+	}
+	return 1
+}
+
+// reads returns the registers op reads.
+func (op progOp) reads() []int {
+	switch op.Code {
+	case opAdd, opSub, opMul, opMulLazy:
+		return []int{op.A, op.B}
+	case opMulDiag, opRelin, opNeg, opRot, opHoist, opDrop:
+		return []int{op.A}
+	}
+	return nil
+}
+
+// link records the dependency graph the executor schedules: each op's
+// producers and consumers.
+func (p *Program) link() {
+	writer := make([]int, p.numReg)
+	for i, op := range p.ops {
+		for r := op.Dst; r < op.Dst+p.width(op); r++ {
+			writer[r] = i
 		}
 	}
-	p.blocks = blocks
+	p.producers = make([][]int, len(p.ops))
+	p.consumers = make([][]int, len(p.ops))
+	for i, op := range p.ops {
+		for _, r := range op.reads() {
+			w := writer[r]
+			if !slices.Contains(p.producers[i], w) {
+				p.producers[i] = append(p.producers[i], w)
+				p.consumers[w] = append(p.consumers[w], i)
+			}
+		}
+	}
 }
 
 // bind stages the program's plaintext constants on the backend —

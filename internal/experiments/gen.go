@@ -1,19 +1,9 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand/v2"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"regexp"
-	"runtime"
-	"strconv"
-	"text/template"
 
 	"copse"
 )
@@ -21,27 +11,19 @@ import (
 // GenBench is the specialization record emitted by copse-bench -genjson
 // (BENCH_gen.json): per-model latency of the specialized op-program
 // executor against the generic interpreter on the *same* query corpus,
-// with bit-identity of the decrypted results asserted, plus one
-// compile-and-run probe of a `copse-compile -gen` generated kernel
-// package (DESIGN.md §13).
+// with bit-identity of the decrypted results asserted (DESIGN.md §13).
 type GenBench struct {
 	Backend string    `json:"backend"`
 	Queries int       `json:"queries"`
 	Seed    uint64    `json:"seed"`
 	Cases   []GenCase `json:"cases"`
-	// GeneratedKernel records the codegen probe: a temporary module
-	// holding the first case's emitted kernel package, compiled and run
-	// against the same artifact.
-	GeneratedKernel *GenKernelProbe `json:"generated_kernel,omitempty"`
 }
 
 // GenCase is one model's specialized-vs-generic measurement.
 type GenCase struct {
 	Name string `json:"name"`
-	// ArtifactHash keys the model into the kernel registry.
-	ArtifactHash string `json:"artifact_hash"`
 	// Executor is the dispatch the specialized leg actually took
-	// ("program", or "kernel" when a generated package is linked).
+	// ("program").
 	Executor string `json:"executor"`
 	// Median Classify latency per leg, identical query corpus.
 	GenericMS     float64 `json:"generic_ms"`
@@ -55,24 +37,9 @@ type GenCase struct {
 	BitIdentical bool `json:"bit_identical"`
 }
 
-// GenKernelProbe is the result of building and running one generated
-// kernel package in a scratch module.
-type GenKernelProbe struct {
-	Model        string `json:"model"`
-	ArtifactHash string `json:"artifact_hash"`
-	// KernelRuns is the subprocess's copse.KernelRuns() after its
-	// queries: > 0 proves the engine dispatched to the generated
-	// kernels, not the interpreter.
-	KernelRuns int64 `json:"kernel_runs"`
-	// Matched: the subprocess's decrypted per-tree labels equalled the
-	// plaintext tree walk on every query.
-	Matched bool `json:"matched"`
-}
-
-// GenReport measures every configured model under both executors and
-// probes one generated kernel end to end. Any bit divergence between
-// the legs — or between either leg and the plaintext walk — is an
-// error, not a report entry.
+// GenReport measures every configured model under both executors. Any
+// bit divergence between the legs — or between either leg and the
+// plaintext walk — is an error, not a report entry.
 func GenReport(cfg Config) (*GenBench, error) {
 	cfg = cfg.withDefaults()
 	cases, err := AllCases(cfg)
@@ -82,13 +49,6 @@ func GenReport(cfg Config) (*GenBench, error) {
 	report := &GenBench{Backend: cfg.Backend, Queries: cfg.Queries, Seed: cfg.Seed}
 	for _, cs := range cases {
 		gc := GenCase{Name: cs.Name}
-		compiled, err := copse.Compile(cs.Forest, copse.CompileOptions{Slots: cs.Slots})
-		if err != nil {
-			return nil, err
-		}
-		if gc.ArtifactHash, err = copse.ArtifactHash(compiled); err != nil {
-			return nil, err
-		}
 		var results [2][][]int
 		var medians [2]float64
 		for leg, noSpec := range []bool{true, false} {
@@ -127,210 +87,8 @@ func GenReport(cfg Config) (*GenBench, error) {
 		}
 		report.Cases = append(report.Cases, gc)
 	}
-	if len(cases) > 0 {
-		probe, err := GenKernelRun(cases[0], cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: generated-kernel probe (%s): %w", cases[0].Name, err)
-		}
-		report.GeneratedKernel = probe
-	}
 	return report, nil
 }
-
-// GenKernelRun emits the case's kernel package with copse.GenerateKernel
-// into a scratch module next to a generated driver, builds it against
-// this repository, and runs a handful of queries: the driver asserts the
-// decrypted labels match the embedded plaintext expectations and that
-// copse.KernelRuns() advanced (kernel dispatch, not interpreter).
-func GenKernelRun(cs Case, cfg Config) (*GenKernelProbe, error) {
-	cfg = cfg.withDefaults()
-	compiled, err := copse.Compile(cs.Forest, copse.CompileOptions{Slots: cs.Slots})
-	if err != nil {
-		return nil, err
-	}
-	hash, err := copse.ArtifactHash(compiled)
-	if err != nil {
-		return nil, err
-	}
-	repoRoot, err := moduleRoot()
-	if err != nil {
-		return nil, err
-	}
-
-	queries := min(cfg.Queries, 3)
-	rng := rand.New(rand.NewPCG(cfg.Seed, 0xf00d))
-	var feats [][]uint64
-	var want [][]int
-	for qi := 0; qi < queries; qi++ {
-		f := randomFeatures(rng, cs.Forest.NumFeatures, cs.Forest.Precision)
-		feats = append(feats, f)
-		want = append(want, cs.Forest.Classify(f))
-	}
-
-	dir, err := os.MkdirTemp("", "copse-genkernel-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	if err := os.Mkdir(filepath.Join(dir, "kernels"), 0o755); err != nil {
-		return nil, err
-	}
-	var kernelSrc bytes.Buffer
-	if err := copse.GenerateKernel(&kernelSrc, compiled, "kernels"); err != nil {
-		return nil, err
-	}
-	var artifact bytes.Buffer
-	if err := copse.WriteArtifact(&artifact, compiled); err != nil {
-		return nil, err
-	}
-	var driver bytes.Buffer
-	if err := genDriverTemplate.Execute(&driver, genDriverData{
-		Artifact: base64.StdEncoding.EncodeToString(artifact.Bytes()),
-		Backend:  cfg.Backend,
-		Slots:    cs.Slots,
-		Features: jsonLiteral(feats),
-		Want:     jsonLiteral(want),
-	}); err != nil {
-		return nil, err
-	}
-	files := map[string]string{
-		"go.mod":                 "module generated\n\ngo 1.23\n\nrequire copse v0.0.0\n\nreplace copse => " + repoRoot + "\n",
-		"kernels/kernels_gen.go": kernelSrc.String(),
-		"main.go":                driver.String(),
-	}
-	for name, content := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			return nil, err
-		}
-	}
-	tidy := exec.Command("go", "mod", "tidy")
-	tidy.Dir = dir
-	tidy.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOPROXY=off")
-	if out, err := tidy.CombinedOutput(); err != nil {
-		return nil, fmt.Errorf("go mod tidy: %v\n%s", err, out)
-	}
-	run := exec.Command("go", "run", ".")
-	run.Dir = dir
-	run.Env = append(os.Environ(), "GOPROXY=off")
-	out, err := run.CombinedOutput()
-	if err != nil {
-		return nil, fmt.Errorf("go run: %v\n%s", err, out)
-	}
-	m := genOKPattern.FindSubmatch(out)
-	if m == nil {
-		return nil, fmt.Errorf("generated driver did not report success:\n%s", out)
-	}
-	runs, err := strconv.ParseInt(string(m[1]), 10, 64)
-	if err != nil || runs <= 0 {
-		return nil, fmt.Errorf("generated driver reported no kernel dispatches:\n%s", out)
-	}
-	return &GenKernelProbe{Model: cs.Name, ArtifactHash: hash, KernelRuns: runs, Matched: true}, nil
-}
-
-var genOKPattern = regexp.MustCompile(`GENKERNEL OK runs=(\d+)`)
-
-// moduleRoot resolves the repository root from this source file's
-// compile-time path (internal/experiments/gen.go → two directories up),
-// for the scratch module's replace directive.
-func moduleRoot() (string, error) {
-	_, file, _, ok := runtime.Caller(0)
-	if !ok {
-		return "", fmt.Errorf("experiments: cannot locate module root")
-	}
-	root := filepath.Dir(filepath.Dir(filepath.Dir(file)))
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		return "", fmt.Errorf("experiments: module root %s: %w", root, err)
-	}
-	return root, nil
-}
-
-func jsonLiteral(v any) string {
-	b, _ := json.Marshal(v)
-	return string(b)
-}
-
-type genDriverData struct {
-	Artifact string
-	Backend  string
-	Slots    int
-	Features string
-	Want     string
-}
-
-var genDriverTemplate = template.Must(template.New("gendriver").Parse(
-	`// Scratch driver for the generated-kernel probe. DO NOT EDIT.
-package main
-
-import (
-	"bytes"
-	"encoding/base64"
-	"encoding/json"
-	"fmt"
-	"log"
-
-	"copse"
-
-	_ "generated/kernels"
-)
-
-const artifactB64 = "{{.Artifact}}"
-
-func main() {
-	raw, err := base64.StdEncoding.DecodeString(artifactB64)
-	if err != nil {
-		log.Fatalf("decoding artifact: %v", err)
-	}
-	compiled, err := copse.ReadArtifact(bytes.NewReader(raw))
-	if err != nil {
-		log.Fatalf("reading artifact: %v", err)
-	}
-	cfg := copse.SystemConfig{Scenario: copse.ScenarioOffload}
-	switch {{printf "%q" .Backend}} {
-	case "bgv":
-		cfg.Backend = copse.BackendBGV
-		if cfg.Security, err = copse.SecurityForSlots({{.Slots}}); err != nil {
-			log.Fatalf("security preset: %v", err)
-		}
-	default:
-		cfg.Backend = copse.BackendClear
-	}
-	var features [][]uint64
-	var want [][]int
-	if err := json.Unmarshal([]byte(` + "`{{.Features}}`" + `), &features); err != nil {
-		log.Fatalf("features: %v", err)
-	}
-	if err := json.Unmarshal([]byte(` + "`{{.Want}}`" + `), &want); err != nil {
-		log.Fatalf("want: %v", err)
-	}
-	sys, err := copse.NewSystem(compiled, cfg)
-	if err != nil {
-		log.Fatalf("system: %v", err)
-	}
-	for qi, f := range features {
-		query, err := sys.Diane.EncryptQuery(f)
-		if err != nil {
-			log.Fatalf("query %d: %v", qi, err)
-		}
-		enc, trace, err := sys.Sally.Classify(query)
-		if err != nil {
-			log.Fatalf("classify %d: %v", qi, err)
-		}
-		if trace.Executor != "kernel" {
-			log.Fatalf("query %d ran on %q, not the generated kernel", qi, trace.Executor)
-		}
-		res, err := sys.Diane.DecryptResult(enc)
-		if err != nil {
-			log.Fatalf("decrypt %d: %v", qi, err)
-		}
-		for ti := range want[qi] {
-			if res.PerTree[ti] != want[qi][ti] {
-				log.Fatalf("query %d tree %d: kernel %d != plaintext %d", qi, ti, res.PerTree[ti], want[qi][ti])
-			}
-		}
-	}
-	fmt.Printf("GENKERNEL OK runs=%d\n", copse.KernelRuns())
-}
-`))
 
 // WriteJSON writes the report, indented for diff-friendliness.
 func (r *GenBench) WriteJSON(w io.Writer) error {

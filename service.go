@@ -126,7 +126,13 @@ func WithScenario(s Scenario) Option { return func(c *serviceConfig) { c.scenari
 func WithSecurity(p SecurityPreset) Option { return func(c *serviceConfig) { c.security = p } }
 
 // WithWorkers sets the intra-query parallelism of each classification
-// (the paper's multithreaded mode); 0 or 1 means single-threaded.
+// (the paper's multithreaded mode): the goroutines one pass spreads its
+// independent homomorphic ops across. 1 means single-threaded. The
+// default (0) gives each in-flight pass its share of the host,
+// max(1, NumCPU / max(maxInFlight, 1)) workers (with no WithMaxInFlight
+// cap the budget assumes one pass at a time); the ring-layer limb pool
+// (WithIntraOpWorkers) then resolves to serial, because parallelism
+// across ops scales better than fan-out inside each op (DESIGN.md §9.2).
 func WithWorkers(n int) Option { return func(c *serviceConfig) { c.workers = n } }
 
 // WithIntraOpWorkers sets the ring-layer limb parallelism of the BGV
@@ -135,10 +141,12 @@ func WithWorkers(n int) Option { return func(c *serviceConfig) { c.workers = n }
 // The default (0) derives n from a shared core budget — query workers ×
 // in-flight passes × limb workers ≤ NumCPU, so the service's layered
 // parallelism does not oversubscribe the host (with no WithMaxInFlight
-// cap the budget assumes one pass at a time) — which on a machine
-// without spare cores per worker means serial. 1 forces serial; n ≥ 2
-// is used as given (explicit oversubscription is allowed, e.g. for
-// tests). The clear backend has no ring layer and ignores this option.
+// cap the budget assumes one pass at a time). Under the default query
+// workers that leaves no spare cores, so the pool is an opt-in: set it
+// explicitly, or pin WithWorkers low enough to leave cores per worker.
+// 1 forces serial; n ≥ 2 is used as given (explicit oversubscription is
+// allowed, e.g. for tests). The clear backend has no ring layer and
+// ignores this option.
 func WithIntraOpWorkers(n int) Option { return func(c *serviceConfig) { c.intraOpWorkers = n } }
 
 // WithVectorKernels controls the ring layer's vectorized (SIMD) NTT and
@@ -204,10 +212,9 @@ func WithShuffle(on bool) Option { return func(c *serviceConfig) { c.shuffle = o
 
 // WithSpecialization toggles the model-specialized op-program executor
 // (default on): Register compiles each model into a flat op schedule
-// (or dispatches to a linked generated kernel) and Classify runs it
-// instead of the generic interpreter (DESIGN.md §13). Disabling it is
-// the `copse-bench -nospecialize` ablation baseline; outputs are
-// bit-identical either way.
+// and Classify runs it instead of the generic interpreter (DESIGN.md
+// §13). Disabling it is the `copse-bench -nospecialize` ablation
+// baseline; outputs are bit-identical either way.
 func WithSpecialization(on bool) Option { return func(c *serviceConfig) { c.noSpecialize = !on } }
 
 // WithNoiseMeasurement records the decrypt-side measured noise budget of
@@ -306,18 +313,27 @@ func (s *Service) newBackend(c *Compiled) (he.Backend, error) {
 	return nil, fmt.Errorf("copse: unknown backend kind %d", s.cfg.backend)
 }
 
+// queryWorkers resolves WithWorkers: an explicit setting wins, the
+// default gives each in-flight pass an equal share of the host's cores.
+func (s *Service) queryWorkers() int {
+	if s.cfg.workers > 0 {
+		return s.cfg.workers
+	}
+	return max(1, runtime.NumCPU()/max(s.cfg.maxInFlight, 1))
+}
+
 // intraOpBudget resolves WithIntraOpWorkers against the shared core
 // budget: an explicit setting wins (1 = serial), the default splits
-// NumCPU across the concurrency the service itself creates — intra-
-// query stage workers times the in-flight pass cap — so the layered
-// parallelism does not oversubscribe the host. With no in-flight cap
-// the budget assumes one pass at a time; servers expecting sustained
-// concurrent passes should set WithMaxInFlight (or an explicit
-// intra-op count) to keep the product bounded.
+// NumCPU across the concurrency the service itself creates — query
+// workers times the in-flight pass cap — so the layered parallelism
+// does not oversubscribe the host. With no in-flight cap the budget
+// assumes one pass at a time; servers expecting sustained concurrent
+// passes should set WithMaxInFlight (or an explicit intra-op count) to
+// keep the product bounded.
 func (s *Service) intraOpBudget() int {
 	n := s.cfg.intraOpWorkers
 	if n == 0 {
-		n = runtime.NumCPU() / (max(s.cfg.workers, 1) * max(s.cfg.maxInFlight, 1))
+		n = runtime.NumCPU() / (s.queryWorkers() * max(s.cfg.maxInFlight, 1))
 	}
 	if n < 2 {
 		return 0 // serial: no pool
@@ -409,7 +425,7 @@ func (s *Service) Register(name string, c *Compiled) error {
 		latency:  hist.New(),
 		engine: &core.Engine{
 			Backend:           s.backend,
-			Workers:           s.cfg.workers,
+			Workers:           s.queryWorkers(),
 			SkipZeroDiagonals: !encryptModel,
 			ReuseRotations:    s.cfg.reuseRotations,
 			DisableHoisting:   s.cfg.disableHoisting,
@@ -715,9 +731,9 @@ func (s *Service) admit(ctx context.Context, name string, m *servedModel) error 
 
 // runPipeline executes one classification pass (and the optional
 // shuffle stage) with panic isolation: a panic anywhere in the
-// pipeline — the engine, a generated kernel, a matrix worker goroutine
-// (surfaced as *matrix.PanicError) — fails this request with a typed
-// *InternalError instead of killing the process and every other
+// pipeline — the engine, an op-program helper or matrix worker
+// goroutine (surfaced as *matrix.PanicError) — fails this request with
+// a typed *InternalError instead of killing the process and every other
 // in-flight pass with it.
 func (s *Service) runPipeline(ctx context.Context, backend he.Backend, m *servedModel, q *Query, shuffleSeed uint64) (op he.Operand, codebooks []*core.ShuffledCodebook, trace *core.Trace, err error) {
 	defer func() {
@@ -777,7 +793,7 @@ func (s *Service) retryAfter(m *servedModel) time.Duration {
 func (s *Service) shufflePass(backend he.Backend, m *servedModel, op he.Operand, batch int, seed uint64, trace *core.Trace) (he.Operand, []*core.ShuffledCodebook, error) {
 	mark := time.Now()
 	counting := he.WithCounts(backend)
-	shuffled, codebooks, err := core.ShuffleResultBatch(counting, &m.operands.Meta, op, batch, 0, seed, max(s.cfg.workers, 1))
+	shuffled, codebooks, err := core.ShuffleResultBatch(counting, &m.operands.Meta, op, batch, 0, seed, s.queryWorkers())
 	if err != nil {
 		return he.Operand{}, nil, fmt.Errorf("copse: result shuffle: %w", err)
 	}

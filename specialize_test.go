@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"os"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"copse"
+	"copse/internal/he"
 	"copse/internal/synth"
 )
 
@@ -44,7 +46,12 @@ func specializeBatch(f *copse.Forest, n int, seed uint64) [][]uint64 {
 	return batch
 }
 
-func specializeService(t *testing.T, c *copse.Compiled, kind copse.BackendKind, sc copse.Scenario, shuffled, generic bool) *copse.Service {
+// specializeWorkers are the executor worker counts the bit-identity
+// suites sweep: serial, the 2-vCPU default, an odd count and more
+// workers than a stage has independent ops.
+var specializeWorkers = []int{1, 2, 3, 8}
+
+func specializeService(t *testing.T, c *copse.Compiled, kind copse.BackendKind, sc copse.Scenario, shuffled, generic bool, workers int) *copse.Service {
 	t.Helper()
 	svc := copse.NewService(
 		copse.WithBackend(kind),
@@ -52,6 +59,7 @@ func specializeService(t *testing.T, c *copse.Compiled, kind copse.BackendKind, 
 		copse.WithSeed(11),
 		copse.WithShuffle(shuffled),
 		copse.WithSpecialization(!generic),
+		copse.WithWorkers(workers),
 	)
 	if err := svc.Register("m", c); err != nil {
 		t.Fatal(err)
@@ -61,56 +69,96 @@ func specializeService(t *testing.T, c *copse.Compiled, kind copse.BackendKind, 
 }
 
 // TestSpecializedBitIdentityClear: across every scenario, batch sizes
-// B=1 and B=capacity, shuffled and not, the specialized executor and
-// the generic interpreter decrypt to identical results (and both match
-// the plaintext tree walk). The traces additionally witness which
-// executor actually ran.
+// B=1 and B=capacity, shuffled and not, and every executor worker count,
+// the specialized executor and the generic interpreter decrypt to
+// identical results (and both match the plaintext tree walk). The
+// traces additionally witness which executor actually ran, and the
+// specialized result ciphertext and per-stage op counts are identical
+// for every worker count.
 func TestSpecializedBitIdentityClear(t *testing.T) {
 	f := copse.ExampleForest()
 	c := compileExample(t, 64)
 	for _, sc := range specializeScenarios {
 		for _, shuffled := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/shuffle=%v", sc.name, shuffled), func(t *testing.T) {
-				spec := specializeService(t, c, copse.BackendClear, sc.scenario, shuffled, false)
-				gen := specializeService(t, c, copse.BackendClear, sc.scenario, shuffled, true)
-				capacity, err := spec.BatchCapacity("m")
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, b := range []int{1, capacity} {
-					batch := specializeBatch(f, b, uint64(b))
-					if shuffled {
-						rs, _, err := spec.ClassifyBatchShuffled(context.Background(), "m", batch)
-						if err != nil {
-							t.Fatal(err)
-						}
-						rg, _, err := gen.ClassifyBatchShuffled(context.Background(), "m", batch)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for qi := range batch {
-							for lbl := range rs[qi].Votes {
-								if rs[qi].Votes[lbl] != rg[qi].Votes[lbl] {
-									t.Fatalf("B=%d query %d: specialized votes %v != generic %v",
-										b, qi, rs[qi].Votes, rg[qi].Votes)
-								}
-							}
-						}
-						continue
-					}
-					compareSpecializedPass(t, spec, gen, f, batch, sc.encFeats)
+				serial := map[int]passWitness{}
+				for _, workers := range specializeWorkers {
+					t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+						spec := specializeService(t, c, copse.BackendClear, sc.scenario, shuffled, false, workers)
+						gen := specializeService(t, c, copse.BackendClear, sc.scenario, shuffled, true, workers)
+						checkSpecializedBatches(t, spec, gen, f, sc.encFeats, shuffled, serial)
+					})
 				}
 			})
 		}
 	}
 }
 
+// checkSpecializedBatches runs B=1 and B=capacity through both services
+// and checks each pass against the generic leg, the plaintext walk and
+// the serial run's witness (recorded in serial when this is the first
+// worker count).
+func checkSpecializedBatches(t *testing.T, spec, gen *copse.Service, f *copse.Forest, encFeats, shuffled bool, serial map[int]passWitness) {
+	t.Helper()
+	capacity, err := spec.BatchCapacity("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []int{1, capacity} {
+		batch := specializeBatch(f, b, uint64(b))
+		if shuffled {
+			rs, _, err := spec.ClassifyBatchShuffled(context.Background(), "m", batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rg, _, err := gen.ClassifyBatchShuffled(context.Background(), "m", batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi := range batch {
+				for lbl := range rs[qi].Votes {
+					if rs[qi].Votes[lbl] != rg[qi].Votes[lbl] {
+						t.Fatalf("B=%d query %d: specialized votes %v != generic %v",
+							b, qi, rs[qi].Votes, rg[qi].Votes)
+					}
+				}
+			}
+			continue
+		}
+		w := compareSpecializedPass(t, spec, gen, f, batch, encFeats)
+		if want, ok := serial[b]; !ok {
+			serial[b] = w
+		} else {
+			w.requireEqual(t, want)
+		}
+	}
+}
+
+// passWitness is what a specialized pass must reproduce exactly for any
+// executor worker count: the result ciphertext and each stage's op
+// counts.
+type passWitness struct {
+	result he.Operand
+	stages [4]he.OpCounts
+}
+
+func (w passWitness) requireEqual(t *testing.T, serial passWitness) {
+	t.Helper()
+	if w.stages != serial.stages {
+		t.Errorf("per-stage op counts %+v, serial run %+v", w.stages, serial.stages)
+	}
+	if !reflect.DeepEqual(w.result, serial.result) {
+		t.Error("result ciphertext differs from the serial run's")
+	}
+}
+
 // compareSpecializedPass runs one batch through both services on the
 // trace-carrying path, asserting per-tree bit identity, agreement with
-// the plaintext walk, and the expected executor on each leg.
-func compareSpecializedPass(t *testing.T, spec, gen *copse.Service, f *copse.Forest, batch [][]uint64, wantSpecialized bool) {
+// the plaintext walk, and the expected executor on each leg. It returns
+// the specialized leg's witness.
+func compareSpecializedPass(t *testing.T, spec, gen *copse.Service, f *copse.Forest, batch [][]uint64, wantSpecialized bool) passWitness {
 	t.Helper()
-	classify := func(svc *copse.Service) ([]*copse.Result, string) {
+	classify := func(svc *copse.Service) ([]*copse.Result, *copse.Trace, he.Operand) {
 		q, err := svc.EncryptQueryBatch("m", batch)
 		if err != nil {
 			t.Fatal(err)
@@ -123,10 +171,15 @@ func compareSpecializedPass(t *testing.T, spec, gen *copse.Service, f *copse.For
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res[:len(batch)], trace.Executor
+		op, _, err := enc.Operand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[:len(batch)], trace, op
 	}
-	rs, specExec := classify(spec)
-	rg, genExec := classify(gen)
+	rs, specTrace, specOp := classify(spec)
+	rg, genTrace, _ := classify(gen)
+	specExec, genExec := specTrace.Executor, genTrace.Executor
 	if genExec != "generic" {
 		t.Errorf("generic service ran executor %q", genExec)
 	}
@@ -146,10 +199,13 @@ func compareSpecializedPass(t *testing.T, spec, gen *copse.Service, f *copse.For
 			}
 		}
 	}
+	return passWitness{result: specOp, stages: [4]he.OpCounts{
+		specTrace.CompareOps, specTrace.ReshuffleOps, specTrace.LevelOps, specTrace.AccumulateOps}}
 }
 
 // TestSpecializedBitIdentityBGV repeats the identity check on real
-// ciphertexts for the cipher-query scenarios, B=1 and B=capacity.
+// ciphertexts for the cipher-query scenarios, B=1 and B=capacity, at
+// every executor worker count.
 func TestSpecializedBitIdentityBGV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("BGV bit-identity sweep is slow")
@@ -161,14 +217,13 @@ func TestSpecializedBitIdentityBGV(t *testing.T) {
 			continue
 		}
 		t.Run(sc.name, func(t *testing.T) {
-			spec := specializeService(t, c, copse.BackendBGV, sc.scenario, false, false)
-			gen := specializeService(t, c, copse.BackendBGV, sc.scenario, false, true)
-			capacity, err := spec.BatchCapacity("m")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, b := range []int{1, capacity} {
-				compareSpecializedPass(t, spec, gen, f, specializeBatch(f, b, uint64(b)), sc.encFeats)
+			serial := map[int]passWitness{}
+			for _, workers := range specializeWorkers {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					spec := specializeService(t, c, copse.BackendBGV, sc.scenario, false, false, workers)
+					gen := specializeService(t, c, copse.BackendBGV, sc.scenario, false, true, workers)
+					checkSpecializedBatches(t, spec, gen, f, sc.encFeats, false, serial)
+				})
 			}
 		})
 	}
@@ -176,12 +231,12 @@ func TestSpecializedBitIdentityBGV(t *testing.T) {
 
 // TestSpecializedConcurrentClassify hammers one specialized service
 // from many goroutines: the per-classify scratch pool and the
-// parallel block segments must stay race-free and bit-exact. Part of
+// executor's helper goroutines must stay race-free and bit-exact. Part of
 // the CI -race job's named list.
 func TestSpecializedConcurrentClassify(t *testing.T) {
 	f := copse.ExampleForest()
 	c := compileExample(t, 64)
-	svc := specializeService(t, c, copse.BackendClear, copse.ScenarioOffload, false, false)
+	svc := specializeService(t, c, copse.BackendClear, copse.ScenarioOffload, false, false, 0)
 	const goroutines = 8
 	const perG = 6
 	var wg sync.WaitGroup
