@@ -246,11 +246,6 @@ type SystemConfig struct {
 	// core budget, 1 forces serial, n ≥ 2 fans every op's RNS limbs
 	// across n workers.
 	IntraOpWorkers int
-	// DisableVectorKernels pins the BGV ring layer to the portable
-	// scalar kernels even on hosts with a SIMD backend (see
-	// WithVectorKernels). Results are bit-identical either way; this is
-	// the ablation knob behind copse-bench -novec (DESIGN.md §14).
-	DisableVectorKernels bool
 	// ReuseRotations enables the naive-kernel rotation-reuse ablation
 	// (DESIGN.md §6); it has no effect on BSGS-staged models, which
 	// always share the baby-step rotations across levels.
@@ -332,7 +327,6 @@ func NewSystem(c *Compiled, cfg SystemConfig) (*System, error) {
 		WithSecurity(cfg.Security),
 		WithWorkers(cfg.Workers),
 		WithIntraOpWorkers(cfg.IntraOpWorkers),
-		WithVectorKernels(!cfg.DisableVectorKernels),
 		WithLevels(cfg.Levels),
 		WithSeed(cfg.Seed),
 		WithReuseRotations(cfg.ReuseRotations),

@@ -39,12 +39,6 @@ type Params struct {
 	// either way. Callers that tear backends down repeatedly should
 	// release the pool via RingCtx.CloseWorkers.
 	IntraOpWorkers int
-	// DisableVectorKernels pins the ring layer to the scalar kernels even
-	// on hosts with a vector backend (the copse-bench -novec ablation and
-	// the copse.WithVectorKernels(false) option). Results are
-	// bit-identical either way; the default (false) selects the vector
-	// kernels wherever the host and the prime chain allow.
-	DisableVectorKernels bool
 }
 
 // Validate checks internal consistency.
@@ -163,9 +157,6 @@ func NewParameters(p Params) (*Parameters, error) {
 	}
 	if p.IntraOpWorkers > 1 {
 		ctx.SetWorkers(ring.NewWorkers(p.IntraOpWorkers))
-	}
-	if p.DisableVectorKernels {
-		ctx.SetVectorKernels(false)
 	}
 	return &Parameters{Params: p, RingCtx: ctx}, nil
 }

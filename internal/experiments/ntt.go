@@ -25,7 +25,7 @@ import (
 type NTTBench struct {
 	// Provenance: the record is meaningless without the machine it was
 	// measured on. KernelVariant names the transform backend the package
-	// default selected ("avx2" or "scalar-fused"); WorkersExceedCPUs
+	// default selected ("avx512", "avx2" or "scalar-fused"); WorkersExceedCPUs
 	// flags pool settings that oversubscribe the host, where the
 	// parallel columns measure contention rather than speedup.
 	CPUs              int    `json:"cpus"`
@@ -313,13 +313,20 @@ func nttClassifyBench(report *NTTBench, cfg Config, workers int) error {
 	}
 
 	run := func(intra int, novec bool) (float64, [][]uint64, error) {
+		// The ring context captures the package kernel default when the
+		// system builds it; the no-vector run pins scalar kernels for
+		// that build only.
+		if novec {
+			prev := ring.VectorKernelsEnabled()
+			ring.SetVectorKernels(false)
+			defer ring.SetVectorKernels(prev)
+		}
 		sys, err := copse.NewSystem(compiled, copse.SystemConfig{
-			Backend:              copse.BackendBGV,
-			Scenario:             copse.ScenarioOffload,
-			Security:             security,
-			IntraOpWorkers:       intra,
-			DisableVectorKernels: novec,
-			Seed:                 cfg.Seed + 100,
+			Backend:        copse.BackendBGV,
+			Scenario:       copse.ScenarioOffload,
+			Security:       security,
+			IntraOpWorkers: intra,
+			Seed:           cfg.Seed + 100,
 		})
 		if err != nil {
 			return 0, nil, err

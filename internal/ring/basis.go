@@ -247,7 +247,7 @@ func (ctx *Context) ModUp(c *Poly) []*Poly {
 	ext := level + 1 + ctx.SpecialPrimes()
 	alpha := ctx.SpecialPrimes()
 
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowTier()
 
 	// z_i = [c_i · (Q_j/q_i)^{-1}]_{q_i} in coefficient domain.
 	z := ctx.GetPoly(level)
@@ -257,7 +257,7 @@ func (ctx *Context) ModUp(c *Poly) []*Poly {
 		m := ctx.Moduli[i]
 		m.INTT(row)
 		g := ctx.group(i/alpha, level)
-		mulScalarRow(vec, m.Q, g.hatInv[i-g.lo], g.hatInvS[i-g.lo], row, row)
+		mulScalarRow(tier, m.Q, g.hatInv[i-g.lo], g.hatInvS[i-g.lo], row, row)
 	}
 	digits := make([]*Poly, ctx.Groups(level))
 	for j := range digits {
@@ -273,7 +273,7 @@ func (ctx *Context) ModUp(c *Poly) []*Poly {
 			return
 		}
 		m, gi := ctx.extModulus(level, x)
-		basisConvRow(vec, m.Q, z.Coeffs[g.lo:g.hi], g.hat[gi], g.hatS[gi], 0, row)
+		basisConvRow(tier, m.Q, z.Coeffs[g.lo:g.hi], g.hat[gi], g.hatS[gi], 0, row)
 		m.NTT(row)
 	}
 	if ws, _ := ctx.limbWorkers(ext, false); ws != nil {
@@ -294,10 +294,10 @@ func (ctx *Context) ModUp(c *Poly) []*Poly {
 // basisConvRow sets out = e + Σ_k src[k]·hat[k] mod q,
 // coefficient-wise. The sources are residues modulo other primes (the
 // Shoup multiply takes any input below 2^64).
-func basisConvRow(vec bool, q uint64, src [][]uint64, hat, hatS []uint64, e uint64, out []uint64) {
-	mulScalarShiftRow(vec, q, hat[0], hatS[0], e, src[0], out)
+func basisConvRow(tier kernelTier, q uint64, src [][]uint64, hat, hatS []uint64, e uint64, out []uint64) {
+	mulScalarShiftRow(tier, q, hat[0], hatS[0], e, src[0], out)
 	for k := 1; k < len(src); k++ {
-		mulScalarAddRow(vec, q, hat[k], hatS[k], src[k], out)
+		mulScalarAddRow(tier, q, hat[k], hatS[k], src[k], out)
 	}
 }
 
@@ -309,9 +309,9 @@ func mulScalarShiftRowScalar(q, c, cs, e uint64, a, out []uint64) {
 }
 
 // mulScalarShiftRow sets out = a·c + e mod q (a any value below 2^64).
-func mulScalarShiftRow(vec bool, q, c, cs, e uint64, a, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		mulScalarShiftVecAsm(q, c, cs, e, a, out)
+func mulScalarShiftRow(tier kernelTier, q, c, cs, e uint64, a, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		mulScalarShiftVecAsm(tier, q, c, cs, e, a, out)
 		return
 	}
 	mulScalarShiftRowScalar(q, c, cs, e, a, out)
@@ -325,9 +325,9 @@ func mulScalarAddRowScalar(q, c, cs uint64, a, out []uint64) {
 }
 
 // mulScalarAddRow sets out += a·c mod q (a any value below 2^64).
-func mulScalarAddRow(vec bool, q, c, cs uint64, a, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		mulScalarAddVecAsm(q, c, cs, a, out)
+func mulScalarAddRow(tier kernelTier, q, c, cs uint64, a, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		mulScalarAddVecAsm(tier, q, c, cs, a, out)
 		return
 	}
 	mulScalarAddRowScalar(q, c, cs, a, out)
@@ -341,9 +341,9 @@ func rescaleRowScalar(q, c, cs uint64, a, b, out []uint64) {
 }
 
 // rescaleRow sets out = (a − b)·c mod q (a, b reduced).
-func rescaleRow(vec bool, q, c, cs uint64, a, b, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		rescaleVecAsm(q, c, cs, a, b, out)
+func rescaleRow(tier kernelTier, q, c, cs uint64, a, b, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		rescaleVecAsm(tier, q, c, cs, a, b, out)
 		return
 	}
 	rescaleRowScalar(q, c, cs, a, b, out)
@@ -362,7 +362,7 @@ func (ctx *Context) KeySwitchDot(digits []*Poly, g uint64, b, a []*Poly, bs, as 
 	if g != 1 {
 		perm = ctx.nttPerm(g)
 	}
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowTier()
 	limb := func(x int) {
 		m, _ := ctx.extModulus(level, x)
 		o0, o1 := acc0.Coeffs[x], acc1.Coeffs[x]
@@ -378,8 +378,8 @@ func (ctx *Context) KeySwitchDot(digits []*Poly, g uint64, b, a []*Poly, bs, as 
 				permuteRow(perm, src, tmp)
 				src = tmp
 			}
-			mulShoupAddRow(vec, m.Q, src, b[j].Coeffs[x], bs[j].S[x], o0)
-			mulShoupAddRow(vec, m.Q, src, a[j].Coeffs[x], as[j].S[x], o1)
+			mulShoupAddRow(tier, m.Q, src, b[j].Coeffs[x], bs[j].S[x], o0)
+			mulShoupAddRow(tier, m.Q, src, a[j].Coeffs[x], as[j].S[x], o1)
 		}
 		if tmp != nil {
 			ctx.putRow(tmp)
@@ -425,9 +425,9 @@ func (ctx *Context) ModDownSwitch(x, c, out *Poly) {
 	if level < 1 || out.Level() != level-1 {
 		panic("ring: ModDownSwitch needs level ≥ 1 and an output one level down")
 	}
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowTier()
 	fold := func(i int) {
-		mulScalarAddRow(vec, ctx.Moduli[i].Q, ctx.pModQ[i], ctx.pModQS[i], c.Coeffs[i], x.Coeffs[i])
+		mulScalarAddRow(tier, ctx.Moduli[i].Q, ctx.pModQ[i], ctx.pModQS[i], c.Coeffs[i], x.Coeffs[i])
 	}
 	if ws, _ := ctx.limbWorkers(level+1, true); ws != nil {
 		ws.Run(level+1, fold)
@@ -481,18 +481,18 @@ func (ctx *Context) rescale(tab *rescaleTab, keep, dropRows, add, out [][]uint64
 		}
 		zu[k] = row
 	}
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowTier()
 	perPrime := func(i int) {
 		m := ctx.Moduli[i]
 		q := m.Q
 		delta := ctx.getRow()
-		basisConvRow(vec, q, zu, tab.c[i], tab.cS[i], tab.negShift[i], delta)
+		basisConvRow(tier, q, zu, tab.c[i], tab.cS[i], tab.negShift[i], delta)
 		m.NTT(delta)
 		if add == nil {
-			rescaleRow(vec, q, tab.dInv[i], tab.dInvS[i], keep[i], delta, out[i])
+			rescaleRow(tier, q, tab.dInv[i], tab.dInvS[i], keep[i], delta, out[i])
 		} else {
-			rescaleRow(vec, q, tab.dInv[i], tab.dInvS[i], keep[i], delta, delta)
-			addRow(vec, q, add[i], delta, out[i])
+			rescaleRow(tier, q, tab.dInv[i], tab.dInvS[i], keep[i], delta, delta)
+			addRow(tier, q, add[i], delta, out[i])
 		}
 		ctx.putRow(delta)
 	}

@@ -1,6 +1,9 @@
 package ring
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func benchContext(b *testing.B, logN int) *Context {
 	b.Helper()
@@ -66,6 +69,52 @@ func BenchmarkModDown(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx.ModDown(x, nil, out)
+	}
+}
+
+// BenchmarkKernelTiers times the transforms and the hot pointwise rows
+// on every tier the host supports, scalar included, over one N=2048
+// row: the per-kernel tier ratios DESIGN.md §14 records.
+func BenchmarkKernelTiers(b *testing.B) {
+	const n = 1 << 11
+	primes, err := GeneratePrimes(55, 2*n, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := primes[0]
+	m, err := NewModulus(q, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	x, y, out := randRow(rng, n, q), randRow(rng, n, q), randRow(rng, n, q)
+	ys := make([]uint64, n)
+	for i := range ys {
+		ys[i] = ShoupPrecomp(y[i], q)
+	}
+	c := rng.Uint64() % q
+	cs := ShoupPrecomp(c, q)
+	kernels := []struct {
+		name string
+		run  func(kernelTier)
+	}{
+		{"ntt", func(kernelTier) { m.NTT(x) }},
+		{"intt", func(kernelTier) { m.INTT(x) }},
+		{"add", func(t kernelTier) { addRow(t, q, x, y, out) }},
+		{"mul", func(t kernelTier) { mulRow(t, q, x, y, out) }},
+		{"mulShoupAdd", func(t kernelTier) { mulShoupAddRow(t, q, x, y, ys, out) }},
+		{"mulScalarAdd", func(t kernelTier) { mulScalarAddRow(t, q, c, cs, x, out) }},
+		{"rescale", func(t kernelTier) { rescaleRow(t, q, c, cs, x, y, out) }},
+	}
+	for tier := tierScalar; tier <= bestTier(); tier++ {
+		m.setTier(tier)
+		for _, k := range kernels {
+			b.Run(tier.String()+"/"+k.name, func(b *testing.B) {
+				for b.Loop() {
+					k.run(tier)
+				}
+			})
+		}
 	}
 }
 

@@ -43,73 +43,38 @@ func FuzzNTTRoundTrip(f *testing.F) {
 		m.INTT(a)
 		for i := range a {
 			if a[i] != orig[i] {
-				t.Fatalf("round trip broken at %d: got %d want %d (q=%d n=%d vec=%v)",
-					i, a[i], orig[i], m.Q, m.N, m.VectorKernels())
+				t.Fatalf("round trip broken at %d: got %d want %d (q=%d n=%d tier=%v)",
+					i, a[i], orig[i], m.Q, m.N, m.kernelTier())
 			}
 		}
 	})
 }
 
-// FuzzVectorVsScalar: the vector transform and pointwise kernels must
-// be bit-identical to the scalar ones on any input. On hosts without a
-// vector backend the target degenerates to scalar-vs-scalar (still a
-// valid round-trip exercise).
+// FuzzVectorVsScalar: every vector tier the host supports must be
+// bit-identical to the scalar kernels on any input, for the transforms
+// and for every pointwise row. The selectors pick LogN ∈ {5..15}, a
+// prime at the low end, middle (55 bits) or top of the vector gate, and
+// a pointwise row length n − (seed mod 8) that leaves a ragged tail to
+// the wrappers' scalar loop. On hosts without a vector backend the
+// target skips.
 func FuzzVectorVsScalar(f *testing.F) {
 	f.Add(uint64(7), uint64(0), uint64(0))
 	f.Add(uint64(99), uint64(1), uint64(2))
 	f.Add(uint64(0xabcd), uint64(3), uint64(1))
 	f.Fuzz(func(t *testing.T, seed, logNSel, primeSel uint64) {
-		if !VectorKernelsAvailable() {
-			t.Skip("no vector backend on this host/build")
+		tiers := hostVectorTiers(t)
+		n := 1 << (5 + logNSel%11)
+		primes := gatePrimes(t, n)
+		q := primes[primeSel%uint64(len(primes))]
+		m, err := NewModulus(q, n)
+		if err != nil {
+			t.Fatalf("NewModulus: %v", err)
 		}
-		m := fuzzModulus(t, logNSel, primeSel)
-		m.SetVectorKernels(true)
 		rng := rand.New(rand.NewSource(int64(seed)))
-		q := m.Q
-		a := make([]uint64, m.N)
-		b := make([]uint64, m.N)
-		bs := make([]uint64, m.N)
-		for i := range a {
-			a[i] = rng.Uint64() % q
-			b[i] = rng.Uint64() % q
-			bs[i] = ShoupPrecomp(b[i], q)
-		}
-
-		want := append([]uint64(nil), a...)
-		got := append([]uint64(nil), a...)
-		m.nttScalar(want)
-		m.nttVec(got)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("NTT diverges at %d: scalar %d vector %d (q=%d n=%d)", i, want[i], got[i], q, m.N)
-			}
-		}
-		m.inttScalar(want)
-		m.inttVec(got)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("INTT diverges at %d: scalar %d vector %d (q=%d n=%d)", i, want[i], got[i], q, m.N)
-			}
-		}
-
-		n := m.N
-		ws := make([]uint64, n)
-		gs := make([]uint64, n)
-		mulRowScalar(q, a, b, ws)
-		mulVecAsm(q, a, b, gs)
-		for i := range ws {
-			if ws[i] != gs[i] {
-				t.Fatalf("MulMod row diverges at %d: scalar %d vector %d (q=%d)", i, ws[i], gs[i], q)
-			}
-		}
-		copy(ws, a)
-		copy(gs, a)
-		mulShoupAddRowScalar(q, b, b, bs, ws)
-		mulShoupAddVecAsm(q, b, b, bs, gs)
-		for i := range ws {
-			if ws[i] != gs[i] {
-				t.Fatalf("Shoup mul-add row diverges at %d: scalar %d vector %d (q=%d)", i, ws[i], gs[i], q)
-			}
+		a := randRow(rng, n, q)
+		for _, tier := range tiers {
+			checkTransforms(t, m, tier, a)
+			checkRowKernels(t, rng, tier, q, n-int(seed%8))
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+	"sync/atomic"
 )
 
 // Modulus holds a single NTT-friendly prime together with the precomputed
@@ -32,23 +33,27 @@ type Modulus struct {
 	psiInvRev  []uint64
 	psiInvRevS []uint64
 
-	// vec selects the AVX2 transform kernels for this modulus. Captured
-	// once at construction from the package default (and the per-modulus
-	// eligibility gate, vectorOKForModulus); SetVectorKernels retunes it.
-	vec bool
+	// tier selects the transform kernels for this modulus (a
+	// kernelTier). Captured once at construction from the package
+	// default and the per-modulus eligibility gate (vectorOKForModulus);
+	// Context.SetVectorKernels retunes it. Atomic because a retune may
+	// race with transforms on other goroutines; a transform already
+	// running finishes on the tier it read.
+	tier atomic.Int32
 }
 
-// SetVectorKernels enables or disables the vector transform kernels for
-// this modulus. Enabling is a no-op when the host lacks the backend or
-// the modulus fails the eligibility gate. Not safe to call concurrently
-// with transforms on the same modulus.
-func (m *Modulus) SetVectorKernels(on bool) {
-	m.vec = on && vectorAvailable() && vectorOKForModulus(m.Q, m.N)
-}
+// kernelTier returns the tier this modulus transforms on.
+func (m *Modulus) kernelTier() kernelTier { return kernelTier(m.tier.Load()) }
 
-// VectorKernels reports whether this modulus transforms via the vector
-// kernels.
-func (m *Modulus) VectorKernels() bool { return m.vec }
+// setTier selects the transform tier, falling back to scalar when the
+// modulus fails the eligibility gate. Callers pass only tiers the host
+// supports.
+func (m *Modulus) setTier(t kernelTier) {
+	if !vectorOKForModulus(m.Q, m.N) {
+		t = tierScalar
+	}
+	m.tier.Store(int32(t))
+}
 
 // AddMod returns x+y mod q. Inputs must be fully reduced.
 func AddMod(x, y, q uint64) uint64 {
@@ -202,8 +207,8 @@ func NewModulus(q uint64, n int) (*Modulus, error) {
 		N:    n,
 		LogN: logN,
 		psi:  psi,
-		vec:  vectorDefault.Load() && vectorOKForModulus(q, n),
 	}
+	m.setTier(defaultTier())
 	m.psiInv = InvMod(psi, q)
 	m.nInv = InvMod(uint64(n), q)
 	m.nInvS = ShoupPrecomp(m.nInv, q)

@@ -75,11 +75,11 @@ type Context struct {
 	// workers. Zero is never stored (NewContext seeds the default).
 	pointwiseCutoff atomic.Int64
 
-	// vecRows routes eligible pointwise rows to the vector backend
-	// (vector.go); captured from the package default at construction,
-	// retunable via SetVectorKernels. The transform kernels carry their
-	// own per-Modulus selection.
-	vecRows atomic.Bool
+	// tier is the kernelTier eligible pointwise rows run on (vector.go);
+	// captured from the package default at construction, retunable via
+	// SetVectorKernels. The transform kernels carry their own
+	// per-Modulus selection.
+	tier atomic.Int32
 
 	// tileBytes is the cache-tiling target for the limb scheduler: Run
 	// fan-outs hand each worker round-robin tiles of
@@ -131,32 +131,34 @@ func NewContext(logN int, primes []uint64, t uint64) (*Context, error) {
 	}
 	ctx.pointwiseCutoff.Store(DefaultPointwiseParCutoff)
 	ctx.tileBytes.Store(DefaultTileBytes)
-	ctx.vecRows.Store(vectorDefault.Load())
+	ctx.tier.Store(int32(defaultTier()))
 	ctx.buildCRT()
 	ctx.buildRescale()
 	return ctx, nil
 }
 
-// SetVectorKernels selects the scalar or vector backend for this
-// context's pointwise rows and for every Modulus of its chain
-// (transforms). Enabling is a no-op on hosts without vector support.
-// Results are bit-identical either way; this is the per-context ablation
-// knob behind copse.WithVectorKernels / copse-bench -novec. Safe to call
-// concurrently with op traffic.
-func (ctx *Context) SetVectorKernels(on bool) {
-	on = on && vectorAvailable()
-	ctx.vecRows.Store(on)
+// SetVectorKernels selects the scalar backend (off) or the best vector
+// tier the host supports (on) for this context's pointwise rows and for
+// every Modulus of its chain (transforms). Enabling is a no-op on hosts
+// without vector support. Results are bit-identical either way; this is
+// the per-context ablation knob of the copse-bench -nttjson kernel
+// record. Safe to call concurrently with op traffic.
+func (ctx *Context) SetVectorKernels(on bool) { ctx.setTier(tierFor(on)) }
+
+// setTier retunes the row tier and every modulus (Q and P) to t, which
+// must be a tier the host supports.
+func (ctx *Context) setTier(t kernelTier) {
+	ctx.tier.Store(int32(t))
 	for _, m := range ctx.Moduli {
-		m.SetVectorKernels(on)
+		m.setTier(t)
 	}
 	if ctx.P != nil {
-		ctx.P.SetVectorKernels(on)
+		ctx.P.setTier(t)
 	}
 }
 
-// VectorKernels reports whether this context routes eligible rows to the
-// vector backend.
-func (ctx *Context) VectorKernels() bool { return ctx.vecRows.Load() }
+// rowTier returns the tier eligible pointwise rows run on.
+func (ctx *Context) rowTier() kernelTier { return kernelTier(ctx.tier.Load()) }
 
 // SetWorkers attaches an intra-op worker pool: NTTs, key-switch inner
 // products, modulus switches and (above a size cutoff) pointwise ops run
@@ -345,9 +347,9 @@ func addRowScalar(q uint64, a, b, out []uint64) {
 	}
 }
 
-func addRow(vec bool, q uint64, a, b, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		addVecAsm(q, a, b, out)
+func addRow(tier kernelTier, q uint64, a, b, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		addVecAsm(tier, q, a, b, out)
 		return
 	}
 	addRowScalar(q, a, b, out)
@@ -359,9 +361,9 @@ func subRowScalar(q uint64, a, b, out []uint64) {
 	}
 }
 
-func subRow(vec bool, q uint64, a, b, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		subVecAsm(q, a, b, out)
+func subRow(tier kernelTier, q uint64, a, b, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		subVecAsm(tier, q, a, b, out)
 		return
 	}
 	subRowScalar(q, a, b, out)
@@ -373,9 +375,9 @@ func negRowScalar(q uint64, a, out []uint64) {
 	}
 }
 
-func negRow(vec bool, q uint64, a, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		negVecAsm(q, a, out)
+func negRow(tier kernelTier, q uint64, a, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		negVecAsm(tier, q, a, out)
 		return
 	}
 	negRowScalar(q, a, out)
@@ -387,9 +389,9 @@ func mulRowScalar(q uint64, a, b, out []uint64) {
 	}
 }
 
-func mulRow(vec bool, q uint64, a, b, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		mulVecAsm(q, a, b, out)
+func mulRow(tier kernelTier, q uint64, a, b, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		mulVecAsm(tier, q, a, b, out)
 		return
 	}
 	mulRowScalar(q, a, b, out)
@@ -401,9 +403,9 @@ func mulAddRowScalar(q uint64, a, b, out []uint64) {
 	}
 }
 
-func mulAddRow(vec bool, q uint64, a, b, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		mulAddVecAsm(q, a, b, out)
+func mulAddRow(tier kernelTier, q uint64, a, b, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		mulAddVecAsm(tier, q, a, b, out)
 		return
 	}
 	mulAddRowScalar(q, a, b, out)
@@ -415,9 +417,9 @@ func mulShoupAddRowScalar(q uint64, a, b, bs, out []uint64) {
 	}
 }
 
-func mulShoupAddRow(vec bool, q uint64, a, b, bs, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		mulShoupAddVecAsm(q, a, b, bs, out)
+func mulShoupAddRow(tier kernelTier, q uint64, a, b, bs, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		mulShoupAddVecAsm(tier, q, a, b, bs, out)
 		return
 	}
 	mulShoupAddRowScalar(q, a, b, bs, out)
@@ -429,9 +431,9 @@ func mulScalarRowScalar(q, c, cs uint64, a, out []uint64) {
 	}
 }
 
-func mulScalarRow(vec bool, q, c, cs uint64, a, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		mulScalarVecAsm(q, c, cs, a, out)
+func mulScalarRow(tier kernelTier, q, c, cs uint64, a, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		mulScalarVecAsm(tier, q, c, cs, a, out)
 		return
 	}
 	mulScalarRowScalar(q, c, cs, a, out)
@@ -440,12 +442,12 @@ func mulScalarRow(vec bool, q, c, cs uint64, a, out []uint64) {
 // Add sets out = a + b. All three must share a level and domain.
 func (ctx *Context) Add(a, b, out *Poly) {
 	m := len(out.Coeffs)
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowTier()
 	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
-		ws.RunTiled(m, grain, func(i int) { addRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]) })
+		ws.RunTiled(m, grain, func(i int) { addRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]) })
 	} else {
 		for i := 0; i < m; i++ {
-			addRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
+			addRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 		}
 	}
 	out.IsNTT = a.IsNTT
@@ -454,12 +456,12 @@ func (ctx *Context) Add(a, b, out *Poly) {
 // Sub sets out = a - b.
 func (ctx *Context) Sub(a, b, out *Poly) {
 	m := len(out.Coeffs)
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowTier()
 	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
-		ws.RunTiled(m, grain, func(i int) { subRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]) })
+		ws.RunTiled(m, grain, func(i int) { subRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]) })
 	} else {
 		for i := 0; i < m; i++ {
-			subRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
+			subRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 		}
 	}
 	out.IsNTT = a.IsNTT
@@ -468,12 +470,12 @@ func (ctx *Context) Sub(a, b, out *Poly) {
 // Neg sets out = -a.
 func (ctx *Context) Neg(a, out *Poly) {
 	m := len(out.Coeffs)
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowTier()
 	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
-		ws.RunTiled(m, grain, func(i int) { negRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], out.Coeffs[i]) })
+		ws.RunTiled(m, grain, func(i int) { negRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], out.Coeffs[i]) })
 	} else {
 		for i := 0; i < m; i++ {
-			negRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], out.Coeffs[i])
+			negRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], out.Coeffs[i])
 		}
 	}
 	out.IsNTT = a.IsNTT
@@ -486,12 +488,12 @@ func (ctx *Context) MulCoeffs(a, b, out *Poly) {
 		panic("ring: MulCoeffs requires NTT-domain operands")
 	}
 	m := len(out.Coeffs)
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowTier()
 	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
-		ws.RunTiled(m, grain, func(i int) { mulRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]) })
+		ws.RunTiled(m, grain, func(i int) { mulRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]) })
 	} else {
 		for i := 0; i < m; i++ {
-			mulRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
+			mulRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 		}
 	}
 	out.IsNTT = true
@@ -503,12 +505,12 @@ func (ctx *Context) MulCoeffsAdd(a, b, out *Poly) {
 		panic("ring: MulCoeffsAdd requires NTT-domain operands")
 	}
 	m := len(out.Coeffs)
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowTier()
 	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
-		ws.RunTiled(m, grain, func(i int) { mulAddRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]) })
+		ws.RunTiled(m, grain, func(i int) { mulAddRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]) })
 	} else {
 		for i := 0; i < m; i++ {
-			mulAddRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
+			mulAddRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 		}
 	}
 	out.IsNTT = true
@@ -541,18 +543,18 @@ func (ctx *Context) ShoupPoly(p *Poly) *PolyShoup {
 // MulScalar sets out = a * c for a word-sized scalar c.
 func (ctx *Context) MulScalar(a *Poly, c uint64, out *Poly) {
 	m := len(out.Coeffs)
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowTier()
 	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
 		ws.RunTiled(m, grain, func(i int) {
 			q := ctx.Moduli[i].Q
 			cq := c % q
-			mulScalarRow(vec, q, cq, ShoupPrecomp(cq, q), a.Coeffs[i], out.Coeffs[i])
+			mulScalarRow(tier, q, cq, ShoupPrecomp(cq, q), a.Coeffs[i], out.Coeffs[i])
 		})
 	} else {
 		for i := 0; i < m; i++ {
 			q := ctx.Moduli[i].Q
 			cq := c % q
-			mulScalarRow(vec, q, cq, ShoupPrecomp(cq, q), a.Coeffs[i], out.Coeffs[i])
+			mulScalarRow(tier, q, cq, ShoupPrecomp(cq, q), a.Coeffs[i], out.Coeffs[i])
 		}
 	}
 	out.IsNTT = a.IsNTT

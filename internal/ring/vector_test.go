@@ -1,32 +1,59 @@
 package ring
 
 import (
+	"math/big"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
-// vectorTestModulus builds a Modulus over a fresh 55-bit prime for the
-// given logN with the vector kernels force-enabled (skipping the test
-// when the host has no vector backend).
-func vectorTestModulus(t *testing.T, logN int) *Modulus {
+// hostVectorTiers returns every vector tier the host supports, logging
+// which tiers run and which are skipped, and skips the test when there
+// is none (non-amd64 hosts, `purego` builds).
+func hostVectorTiers(t testing.TB) []kernelTier {
 	t.Helper()
-	if !VectorKernelsAvailable() {
+	var run, skipped []string
+	var tiers []kernelTier
+	for _, tier := range []kernelTier{tierAVX2, tierAVX512} {
+		if tier <= bestTier() {
+			tiers = append(tiers, tier)
+			run = append(run, tier.String())
+		} else {
+			skipped = append(skipped, tier.String())
+		}
+	}
+	t.Logf("kernel tiers run: %v; skipped (host lacks them): %v", run, skipped)
+	if len(tiers) == 0 {
 		t.Skip("no vector backend on this host/build")
 	}
-	n := 1 << logN
-	primes, err := GeneratePrimes(55, uint64(2*n), 1)
+	return tiers
+}
+
+// primeAbove returns the smallest prime q > lo with q ≡ 1 (mod step).
+func primeAbove(t testing.TB, lo, step uint64) uint64 {
+	t.Helper()
+	b := new(big.Int)
+	for q := (lo/step+1)*step + 1; ; q += step {
+		if b.SetUint64(q).ProbablyPrime(20) {
+			return q
+		}
+	}
+}
+
+// gatePrimes returns NTT primes for transform size n at both ends of
+// the vector gate 2^32 < q < 2^61 and at the production 55-bit size.
+func gatePrimes(t testing.TB, n int) []uint64 {
+	t.Helper()
+	step := uint64(2 * n)
+	mid, err := GeneratePrimes(55, step, 1)
 	if err != nil {
-		t.Fatalf("GeneratePrimes: %v", err)
+		t.Fatalf("GeneratePrimes(55): %v", err)
 	}
-	m, err := NewModulus(primes[0], n)
+	top, err := GeneratePrimes(61, step, 1)
 	if err != nil {
-		t.Fatalf("NewModulus: %v", err)
+		t.Fatalf("GeneratePrimes(61): %v", err)
 	}
-	m.SetVectorKernels(true)
-	if !m.VectorKernels() {
-		t.Fatalf("vector kernels did not engage for q=%d n=%d", primes[0], n)
-	}
-	return m
+	return []uint64{primeAbove(t, 1<<32, step), mid[0], top[0]}
 }
 
 func randRow(rng *rand.Rand, n int, q uint64) []uint64 {
@@ -37,129 +64,148 @@ func randRow(rng *rand.Rand, n int, q uint64) []uint64 {
 	return row
 }
 
-// TestVectorKernelsMatchScalar asserts bit-identity of the AVX2
-// transform kernels against the fused scalar reference across sizes.
+// checkTransforms asserts the tier's NTT and INTT match the fused
+// scalar reference on row a (and that the pair round-trips).
+func checkTransforms(t testing.TB, m *Modulus, tier kernelTier, a []uint64) {
+	t.Helper()
+	want := append([]uint64(nil), a...)
+	got := append([]uint64(nil), a...)
+	m.nttScalar(want)
+	m.nttVec(got, tier)
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%v q=%d n=%d NTT diverges at %d: scalar %d vector %d", tier, m.Q, m.N, i, want[i], got[i])
+		}
+	}
+	m.inttScalar(want)
+	m.inttVec(got, tier)
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%v q=%d n=%d INTT diverges at %d: scalar %d vector %d", tier, m.Q, m.N, i, want[i], got[i])
+		}
+		if got[i] != a[i] {
+			t.Fatalf("%v q=%d n=%d round trip failed at %d", tier, m.Q, m.N, i)
+		}
+	}
+}
+
+// TestVectorKernelsMatchScalar asserts bit-identity of every supported
+// tier's transform kernels against the fused scalar reference, at every
+// size from the n=32 minimum to N=8192 and at both ends of the modulus
+// gate.
 func TestVectorKernelsMatchScalar(t *testing.T) {
+	tiers := hostVectorTiers(t)
 	rng := rand.New(rand.NewSource(7))
-	for _, logN := range []int{5, 6, 8, 11, 12, 13} {
-		m := vectorTestModulus(t, logN)
-		n := m.N
-		for trial := 0; trial < 4; trial++ {
-			a := randRow(rng, n, m.Q)
-			want := append([]uint64(nil), a...)
-			got := append([]uint64(nil), a...)
-			m.nttScalar(want)
-			m.nttVec(got)
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("logN=%d NTT diverges at %d: scalar %d vector %d", logN, i, want[i], got[i])
-				}
+	for logN := 5; logN <= 13; logN++ {
+		n := 1 << logN
+		for _, q := range gatePrimes(t, n) {
+			m, err := NewModulus(q, n)
+			if err != nil {
+				t.Fatalf("NewModulus: %v", err)
 			}
-			m.inttScalar(want)
-			m.inttVec(got)
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("logN=%d INTT diverges at %d: scalar %d vector %d", logN, i, want[i], got[i])
+			for _, tier := range tiers {
+				for trial := 0; trial < 3; trial++ {
+					checkTransforms(t, m, tier, randRow(rng, n, q))
 				}
-			}
-			if got[0] != a[0] {
-				t.Fatalf("logN=%d round trip failed", logN)
 			}
 		}
 	}
 }
 
-// TestVectorRowKernelsMatchScalar asserts bit-identity of every
-// pointwise vector kernel against its scalar row, including ragged
-// lengths that exercise the scalar tail in the wrappers.
-func TestVectorRowKernelsMatchScalar(t *testing.T) {
-	if !VectorKernelsAvailable() {
-		t.Skip("no vector backend on this host/build")
+// checkRowKernels asserts bit-identity of every pointwise kernel of the
+// tier against its scalar row on random length-n inputs over q.
+func checkRowKernels(t testing.TB, rng *rand.Rand, tier kernelTier, q uint64, n int) {
+	t.Helper()
+	a := randRow(rng, n, q)
+	b := randRow(rng, n, q)
+	bs := make([]uint64, n)
+	for i := range bs {
+		bs[i] = ShoupPrecomp(b[i], q)
 	}
-	rng := rand.New(rand.NewSource(11))
-	primes, err := GeneratePrimes(55, 1<<13, 2)
-	if err != nil {
-		t.Fatalf("GeneratePrimes: %v", err)
+	acc := randRow(rng, n, q)
+	c := rng.Uint64() % q
+	cs := ShoupPrecomp(c, q)
+	// The basis-conversion kernels take unreduced inputs (residues of
+	// other primes, or values shifted up to 3q/2).
+	wide := make([]uint64, n)
+	for i := range wide {
+		wide[i] = rng.Uint64()
 	}
-	for _, q := range primes {
-		for _, n := range []int{16, 64, 67, 256, 1024} {
-			a := randRow(rng, n, q)
-			b := randRow(rng, n, q)
-			bs := make([]uint64, n)
-			for i := range bs {
-				bs[i] = ShoupPrecomp(b[i], q)
-			}
-			acc := randRow(rng, n, q)
-			c := rng.Uint64() % q
-			cs := ShoupPrecomp(c, q)
+	e := rng.Uint64() % q
 
-			check := func(name string, scalar, vec func(out []uint64)) {
-				t.Helper()
-				want := make([]uint64, n)
-				got := make([]uint64, n)
-				scalar(want)
-				vec(got)
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("%s q=%d n=%d diverges at %d: scalar %d vector %d", name, q, n, i, want[i], got[i])
-					}
-				}
+	check := func(name string, scalar, vec func(out []uint64)) {
+		t.Helper()
+		want := make([]uint64, n)
+		got := make([]uint64, n)
+		scalar(want)
+		vec(got)
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("%v %s q=%d n=%d diverges at %d: scalar %d vector %d", tier, name, q, n, i, want[i], got[i])
 			}
-			check("add",
-				func(out []uint64) { addRowScalar(q, a, b, out) },
-				func(out []uint64) { addVecAsm(q, a, b, out) })
-			check("sub",
-				func(out []uint64) { subRowScalar(q, a, b, out) },
-				func(out []uint64) { subVecAsm(q, a, b, out) })
-			check("neg",
-				func(out []uint64) { negRowScalar(q, a, out) },
-				func(out []uint64) { negVecAsm(q, a, out) })
-			check("mul",
-				func(out []uint64) { mulRowScalar(q, a, b, out) },
-				func(out []uint64) { mulVecAsm(q, a, b, out) })
-			check("mulAdd",
-				func(out []uint64) { copy(out, acc); mulAddRowScalar(q, a, b, out) },
-				func(out []uint64) { copy(out, acc); mulAddVecAsm(q, a, b, out) })
-			check("mulShoupAdd",
-				func(out []uint64) { copy(out, acc); mulShoupAddRowScalar(q, a, b, bs, out) },
-				func(out []uint64) { copy(out, acc); mulShoupAddVecAsm(q, a, b, bs, out) })
-			check("mulScalar",
-				func(out []uint64) { mulScalarRowScalar(q, c, cs, a, out) },
-				func(out []uint64) { mulScalarVecAsm(q, c, cs, a, out) })
-			// The basis-conversion kernels take unreduced inputs (residues
-			// of other primes, or values shifted up to 3q/2).
-			wide := make([]uint64, n)
-			for i := range wide {
-				wide[i] = rng.Uint64()
+		}
+	}
+	check("add",
+		func(out []uint64) { addRowScalar(q, a, b, out) },
+		func(out []uint64) { addVecAsm(tier, q, a, b, out) })
+	check("sub",
+		func(out []uint64) { subRowScalar(q, a, b, out) },
+		func(out []uint64) { subVecAsm(tier, q, a, b, out) })
+	check("neg",
+		func(out []uint64) { negRowScalar(q, a, out) },
+		func(out []uint64) { negVecAsm(tier, q, a, out) })
+	check("mul",
+		func(out []uint64) { mulRowScalar(q, a, b, out) },
+		func(out []uint64) { mulVecAsm(tier, q, a, b, out) })
+	check("mulAdd",
+		func(out []uint64) { copy(out, acc); mulAddRowScalar(q, a, b, out) },
+		func(out []uint64) { copy(out, acc); mulAddVecAsm(tier, q, a, b, out) })
+	check("mulShoupAdd",
+		func(out []uint64) { copy(out, acc); mulShoupAddRowScalar(q, a, b, bs, out) },
+		func(out []uint64) { copy(out, acc); mulShoupAddVecAsm(tier, q, a, b, bs, out) })
+	check("mulScalar",
+		func(out []uint64) { mulScalarRowScalar(q, c, cs, a, out) },
+		func(out []uint64) { mulScalarVecAsm(tier, q, c, cs, a, out) })
+	check("mulScalarShift",
+		func(out []uint64) { mulScalarShiftRowScalar(q, c, cs, e, wide, out) },
+		func(out []uint64) { mulScalarShiftVecAsm(tier, q, c, cs, e, wide, out) })
+	check("mulScalarAdd",
+		func(out []uint64) { copy(out, acc); mulScalarAddRowScalar(q, c, cs, wide, out) },
+		func(out []uint64) { copy(out, acc); mulScalarAddVecAsm(tier, q, c, cs, wide, out) })
+	check("rescale",
+		func(out []uint64) { rescaleRowScalar(q, c, cs, a, b, out) },
+		func(out []uint64) { rescaleVecAsm(tier, q, c, cs, a, b, out) })
+}
+
+// TestVectorRowKernelsMatchScalar asserts bit-identity of every
+// pointwise kernel of every supported tier against its scalar row,
+// including ragged lengths that leave a 4- or 8-lane tail to the scalar
+// loop in the wrappers, at both ends of the modulus gate.
+func TestVectorRowKernelsMatchScalar(t *testing.T) {
+	tiers := hostVectorTiers(t)
+	rng := rand.New(rand.NewSource(11))
+	for _, q := range gatePrimes(t, 1<<12) {
+		for _, n := range []int{16, 20, 36, 64, 67, 256, 1000, 1024} {
+			for _, tier := range tiers {
+				checkRowKernels(t, rng, tier, q, n)
 			}
-			e := rng.Uint64() % q
-			check("mulScalarShift",
-				func(out []uint64) { mulScalarShiftRowScalar(q, c, cs, e, wide, out) },
-				func(out []uint64) { mulScalarShiftVecAsm(q, c, cs, e, wide, out) })
-			check("mulScalarAdd",
-				func(out []uint64) { copy(out, acc); mulScalarAddRowScalar(q, c, cs, wide, out) },
-				func(out []uint64) { copy(out, acc); mulScalarAddVecAsm(q, c, cs, wide, out) })
-			check("rescale",
-				func(out []uint64) { rescaleRowScalar(q, c, cs, a, b, out) },
-				func(out []uint64) { rescaleVecAsm(q, c, cs, a, b, out) })
 		}
 	}
 }
 
 // TestVectorNegZero pins the x=0 edge of the vectorized NegMod.
 func TestVectorNegZero(t *testing.T) {
-	if !VectorKernelsAvailable() {
-		t.Skip("no vector backend on this host/build")
-	}
 	q := uint64(1)<<55 - 55
-	a := []uint64{0, 1, q - 1, 0, 0, q / 2, 3, 0}
-	want := make([]uint64, len(a))
-	got := make([]uint64, len(a))
-	negRowScalar(q, a, want)
-	negVecAsm(q, a, got)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("neg diverges at %d: scalar %d vector %d", i, want[i], got[i])
+	a := []uint64{0, 1, q - 1, 0, 0, q / 2, 3, 0, q - 1, 0, 0, 0, 1, 0, 7, 0}
+	for _, tier := range hostVectorTiers(t) {
+		want := make([]uint64, len(a))
+		got := make([]uint64, len(a))
+		negRowScalar(q, a, want)
+		negVecAsm(tier, q, a, got)
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("%v neg diverges at %d: scalar %d vector %d", tier, i, want[i], got[i])
+			}
 		}
 	}
 }
@@ -178,5 +224,77 @@ func TestModulusVectorGate(t *testing.T) {
 	}
 	if !vectorOKForModulus(uint64(1)<<55-55, 32) {
 		t.Fatal("55-bit prime at n=32 should be vector-eligible")
+	}
+}
+
+// TestKernelVariantNamesDefaultTier: the provenance name tracks the
+// package default through SetVectorKernels.
+func TestKernelVariantNamesDefaultTier(t *testing.T) {
+	defer kernelDefault.Store(kernelDefault.Load())
+	SetVectorKernels(true)
+	if got, want := KernelVariant(), bestTier().String(); got != want {
+		t.Fatalf("KernelVariant() = %q with vector kernels on, want %q", got, want)
+	}
+	t.Logf("host kernel tier: %s", KernelVariant())
+	SetVectorKernels(false)
+	if got := KernelVariant(); got != "scalar-fused" {
+		t.Fatalf("KernelVariant() = %q with vector kernels off, want scalar-fused", got)
+	}
+}
+
+// TestSetVectorKernelsRace toggles Context.SetVectorKernels while other
+// goroutines run transforms and pointwise ops on the same context: the
+// per-modulus and per-context tiers are read by every op, so the retune
+// must be race-free (run under -race), and results must not depend on
+// which tier an op happened to see.
+func TestSetVectorKernelsRace(t *testing.T) {
+	ctx := testContext(t)
+	src := NewSeededSampler(ctx, 3).UniformPoly(ctx.MaxLevel(), false)
+	want := src.Copy()
+	ctx.NTT(want)
+	ctx.MulCoeffs(want, want, want)
+
+	stop := make(chan struct{})
+	var toggler sync.WaitGroup
+	toggler.Add(1)
+	go func() {
+		defer toggler.Done()
+		for on := false; ; on = !on {
+			select {
+			case <-stop:
+				return
+			default:
+				ctx.SetVectorKernels(on)
+			}
+		}
+	}()
+	const goroutines = 2
+	var ops sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		ops.Add(1)
+		go func() {
+			defer ops.Done()
+			for i := 0; i < 50; i++ {
+				p := src.Copy()
+				ctx.NTT(p)
+				ctx.MulCoeffs(p, p, p)
+				for l := range p.Coeffs {
+					for j := range p.Coeffs[l] {
+						if p.Coeffs[l][j] != want.Coeffs[l][j] {
+							errs <- "result depends on the tier an op saw"
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	ops.Wait()
+	close(stop)
+	toggler.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -204,7 +204,7 @@ func TestPointwiseCutoffTunable(t *testing.T) {
 	want := par.NewPoly(2)
 	addRowAll := func(out *Poly) {
 		for i := range out.Coeffs {
-			addRow(false, par.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
+			addRow(tierScalar, par.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 		}
 	}
 	addRowAll(want)

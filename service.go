@@ -96,7 +96,6 @@ type serviceConfig struct {
 	security         SecurityPreset
 	workers          int
 	intraOpWorkers   int
-	noVectorKernels  bool
 	maxInFlight      int
 	levels           int
 	seed             uint64
@@ -148,14 +147,6 @@ func WithWorkers(n int) Option { return func(c *serviceConfig) { c.workers = n }
 // allowed, e.g. for tests). The clear backend has no ring layer and
 // ignores this option.
 func WithIntraOpWorkers(n int) Option { return func(c *serviceConfig) { c.intraOpWorkers = n } }
-
-// WithVectorKernels controls the ring layer's vectorized (SIMD) NTT and
-// pointwise kernels on the BGV backend. They are on by default wherever
-// the host CPU and the prime chain support them, and produce results
-// bit-identical to the portable scalar kernels; false pins the scalar
-// path (the copse-bench -novec ablation, DESIGN.md §14). The clear
-// backend has no ring layer and ignores this option.
-func WithVectorKernels(on bool) Option { return func(c *serviceConfig) { c.noVectorKernels = !on } }
 
 // WithMaxInFlight caps how many classifications run concurrently;
 // excess calls queue (their wait is reported by Stats). 0 means
@@ -290,7 +281,6 @@ func (s *Service) newBackend(c *Compiled) (he.Backend, error) {
 				c.Meta.Slots, slots, slots)
 		}
 		params.IntraOpWorkers = s.intraOpBudget()
-		params.DisableVectorKernels = s.cfg.noVectorKernels
 		// Galois-key level budget: steps the level plan proves are only
 		// rotated in the scheduled-down back half get their keys
 		// generated at that stage's level instead of the chain top
