@@ -166,14 +166,16 @@ func nttKernelBench(report *NTTBench, workers int) error {
 			if err != nil {
 				return fmt.Errorf("experiments: primes for logN=%d: %w", logN, err)
 			}
-			// scalarCtx pins the fused scalar kernels; vecCtx keeps the
-			// package default (the vector backend where the host has
-			// one); parCtx attaches the limb pool to the default kernels.
+			// scalarCtx pins the fused scalar kernels (built with the
+			// package default held at scalar); vecCtx keeps the default
+			// (the vector backend where the host has one); parCtx
+			// attaches the limb pool to the default kernels.
+			restore := ring.SetVectorKernels(false)
 			scalarCtx, err := ring.NewContext(logN, primes, t)
+			restore()
 			if err != nil {
 				return err
 			}
-			scalarCtx.SetVectorKernels(false)
 			vecCtx, err := ring.NewContext(logN, primes, t)
 			if err != nil {
 				return err
@@ -316,10 +318,9 @@ func nttClassifyBench(report *NTTBench, cfg Config, workers int) error {
 		// The ring context captures the package kernel default when the
 		// system builds it; the no-vector run pins scalar kernels for
 		// that build only.
+		restore := func() {}
 		if novec {
-			prev := ring.VectorKernelsEnabled()
-			ring.SetVectorKernels(false)
-			defer ring.SetVectorKernels(prev)
+			restore = ring.SetVectorKernels(false)
 		}
 		sys, err := copse.NewSystem(compiled, copse.SystemConfig{
 			Backend:        copse.BackendBGV,
@@ -328,6 +329,7 @@ func nttClassifyBench(report *NTTBench, cfg Config, workers int) error {
 			IntraOpWorkers: intra,
 			Seed:           cfg.Seed + 100,
 		})
+		restore()
 		if err != nil {
 			return 0, nil, err
 		}

@@ -247,7 +247,7 @@ func (ctx *Context) ModUp(c *Poly) []*Poly {
 	ext := level + 1 + ctx.SpecialPrimes()
 	alpha := ctx.SpecialPrimes()
 
-	tier := ctx.rowTier()
+	tier := ctx.tier
 
 	// z_i = [c_i · (Q_j/q_i)^{-1}]_{q_i} in coefficient domain.
 	z := ctx.GetPoly(level)
@@ -362,7 +362,7 @@ func (ctx *Context) KeySwitchDot(digits []*Poly, g uint64, b, a []*Poly, bs, as 
 	if g != 1 {
 		perm = ctx.nttPerm(g)
 	}
-	tier := ctx.rowTier()
+	tier := ctx.tier
 	limb := func(x int) {
 		m, _ := ctx.extModulus(level, x)
 		o0, o1 := acc0.Coeffs[x], acc1.Coeffs[x]
@@ -425,7 +425,7 @@ func (ctx *Context) ModDownSwitch(x, c, out *Poly) {
 	if level < 1 || out.Level() != level-1 {
 		panic("ring: ModDownSwitch needs level ≥ 1 and an output one level down")
 	}
-	tier := ctx.rowTier()
+	tier := ctx.tier
 	fold := func(i int) {
 		mulScalarAddRow(tier, ctx.Moduli[i].Q, ctx.pModQ[i], ctx.pModQS[i], c.Coeffs[i], x.Coeffs[i])
 	}
@@ -481,7 +481,7 @@ func (ctx *Context) rescale(tab *rescaleTab, keep, dropRows, add, out [][]uint64
 		}
 		zu[k] = row
 	}
-	tier := ctx.rowTier()
+	tier := ctx.tier
 	perPrime := func(i int) {
 		m := ctx.Moduli[i]
 		q := m.Q

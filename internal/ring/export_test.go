@@ -8,8 +8,7 @@ package ring
 func SetDefaultTierForTest(name string) (restore func(), ok bool) {
 	for t := tierScalar; t <= bestTier(); t++ {
 		if t.String() == name {
-			prev := kernelDefault.Load()
-			kernelDefault.Store(int32(t))
+			prev := kernelDefault.Swap(int32(t))
 			return func() { kernelDefault.Store(prev) }, true
 		}
 	}

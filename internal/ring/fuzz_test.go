@@ -44,37 +44,53 @@ func FuzzNTTRoundTrip(f *testing.F) {
 		for i := range a {
 			if a[i] != orig[i] {
 				t.Fatalf("round trip broken at %d: got %d want %d (q=%d n=%d tier=%v)",
-					i, a[i], orig[i], m.Q, m.N, m.kernelTier())
+					i, a[i], orig[i], m.Q, m.N, m.tier)
 			}
 		}
 	})
 }
 
+// fuzzVectorModulus derives the FuzzVectorVsScalar modulus from the
+// fuzzed selectors. LogN ∈ {5..15}: selectors 0..4 pick LogN 11..15 (the
+// production ring sizes) and 5..10 pick LogN 5..10, down to the n=32
+// vector minimum. The prime menu is four fresh 55-bit NTT primes for
+// that size (selectors 0..3) followed by the primes at the low (4) and
+// top (5) ends of the vector gate 2^32 < q < 2^61.
+func fuzzVectorModulus(t *testing.T, logNSel, primeSel uint64) *Modulus {
+	t.Helper()
+	logN := 5 + int((logNSel%11+6)%11)
+	n := 1 << logN
+	menu, err := GeneratePrimes(55, uint64(2*n), 4)
+	if err != nil {
+		t.Fatalf("GeneratePrimes: %v", err)
+	}
+	gate := gatePrimes(t, n)
+	menu = append(menu, gate[0], gate[len(gate)-1])
+	m, err := NewModulus(menu[primeSel%uint64(len(menu))], n)
+	if err != nil {
+		t.Fatalf("NewModulus: %v", err)
+	}
+	return m
+}
+
 // FuzzVectorVsScalar: every vector tier the host supports must be
 // bit-identical to the scalar kernels on any input, for the transforms
-// and for every pointwise row. The selectors pick LogN ∈ {5..15}, a
-// prime at the low end, middle (55 bits) or top of the vector gate, and
-// a pointwise row length n − (seed mod 8) that leaves a ragged tail to
-// the wrappers' scalar loop. On hosts without a vector backend the
-// target skips.
+// and for every pointwise row. The modulus comes from
+// fuzzVectorModulus; the pointwise rows have length n − (seed mod 8),
+// which leaves a ragged tail to the wrappers' scalar loop. On hosts
+// without a vector backend the target skips.
 func FuzzVectorVsScalar(f *testing.F) {
 	f.Add(uint64(7), uint64(0), uint64(0))
 	f.Add(uint64(99), uint64(1), uint64(2))
 	f.Add(uint64(0xabcd), uint64(3), uint64(1))
 	f.Fuzz(func(t *testing.T, seed, logNSel, primeSel uint64) {
 		tiers := hostVectorTiers(t)
-		n := 1 << (5 + logNSel%11)
-		primes := gatePrimes(t, n)
-		q := primes[primeSel%uint64(len(primes))]
-		m, err := NewModulus(q, n)
-		if err != nil {
-			t.Fatalf("NewModulus: %v", err)
-		}
+		m := fuzzVectorModulus(t, logNSel, primeSel)
 		rng := rand.New(rand.NewSource(int64(seed)))
-		a := randRow(rng, n, q)
+		a := randRow(rng, m.N, m.Q)
 		for _, tier := range tiers {
 			checkTransforms(t, m, tier, a)
-			checkRowKernels(t, rng, tier, q, n-int(seed%8))
+			checkRowKernels(t, rng, tier, m.Q, m.N-int(seed%8))
 		}
 	})
 }

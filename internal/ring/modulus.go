@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
-	"sync/atomic"
 )
 
 // Modulus holds a single NTT-friendly prime together with the precomputed
@@ -33,26 +32,21 @@ type Modulus struct {
 	psiInvRev  []uint64
 	psiInvRevS []uint64
 
-	// tier selects the transform kernels for this modulus (a
-	// kernelTier). Captured once at construction from the package
-	// default and the per-modulus eligibility gate (vectorOKForModulus);
-	// Context.SetVectorKernels retunes it. Atomic because a retune may
-	// race with transforms on other goroutines; a transform already
-	// running finishes on the tier it read.
-	tier atomic.Int32
+	// tier selects the transform kernels for this modulus. Fixed at
+	// construction from the package default and the per-modulus
+	// eligibility gate (vectorOKForModulus); read-only afterwards.
+	tier kernelTier
 }
-
-// kernelTier returns the tier this modulus transforms on.
-func (m *Modulus) kernelTier() kernelTier { return kernelTier(m.tier.Load()) }
 
 // setTier selects the transform tier, falling back to scalar when the
 // modulus fails the eligibility gate. Callers pass only tiers the host
-// supports.
+// supports; only construction and single-goroutine test/bench harnesses
+// call it.
 func (m *Modulus) setTier(t kernelTier) {
 	if !vectorOKForModulus(m.Q, m.N) {
 		t = tierScalar
 	}
-	m.tier.Store(int32(t))
+	m.tier = t
 }
 
 // AddMod returns x+y mod q. Inputs must be fully reduced.

@@ -21,7 +21,7 @@ package ring
 // The output is in bit-reversed order, following the standard iterative
 // Cooley-Tukey decimation-in-time negacyclic transform.
 func (m *Modulus) NTT(a []uint64) {
-	if tier := m.kernelTier(); tier != tierScalar {
+	if tier := m.tier; tier != tierScalar {
 		m.nttVec(a, tier)
 		return
 	}
@@ -153,7 +153,7 @@ func reduce4Q(r, q, twoQ uint64) uint64 {
 // INTT transforms a in place from NTT (bit-reversed) back to coefficient
 // domain, including the 1/N scaling. It is the exact inverse of NTT.
 func (m *Modulus) INTT(a []uint64) {
-	if tier := m.kernelTier(); tier != tierScalar {
+	if tier := m.tier; tier != tierScalar {
 		m.inttVec(a, tier)
 		return
 	}

@@ -75,11 +75,10 @@ type Context struct {
 	// workers. Zero is never stored (NewContext seeds the default).
 	pointwiseCutoff atomic.Int64
 
-	// tier is the kernelTier eligible pointwise rows run on (vector.go);
-	// captured from the package default at construction, retunable via
-	// SetVectorKernels. The transform kernels carry their own
-	// per-Modulus selection.
-	tier atomic.Int32
+	// tier is the kernel tier eligible pointwise rows run on (vector.go);
+	// fixed at construction from the package default. The transform
+	// kernels carry their own per-Modulus selection.
+	tier kernelTier
 
 	// tileBytes is the cache-tiling target for the limb scheduler: Run
 	// fan-outs hand each worker round-robin tiles of
@@ -131,34 +130,11 @@ func NewContext(logN int, primes []uint64, t uint64) (*Context, error) {
 	}
 	ctx.pointwiseCutoff.Store(DefaultPointwiseParCutoff)
 	ctx.tileBytes.Store(DefaultTileBytes)
-	ctx.tier.Store(int32(defaultTier()))
+	ctx.tier = defaultTier()
 	ctx.buildCRT()
 	ctx.buildRescale()
 	return ctx, nil
 }
-
-// SetVectorKernels selects the scalar backend (off) or the best vector
-// tier the host supports (on) for this context's pointwise rows and for
-// every Modulus of its chain (transforms). Enabling is a no-op on hosts
-// without vector support. Results are bit-identical either way; this is
-// the per-context ablation knob of the copse-bench -nttjson kernel
-// record. Safe to call concurrently with op traffic.
-func (ctx *Context) SetVectorKernels(on bool) { ctx.setTier(tierFor(on)) }
-
-// setTier retunes the row tier and every modulus (Q and P) to t, which
-// must be a tier the host supports.
-func (ctx *Context) setTier(t kernelTier) {
-	ctx.tier.Store(int32(t))
-	for _, m := range ctx.Moduli {
-		m.setTier(t)
-	}
-	if ctx.P != nil {
-		ctx.P.setTier(t)
-	}
-}
-
-// rowTier returns the tier eligible pointwise rows run on.
-func (ctx *Context) rowTier() kernelTier { return kernelTier(ctx.tier.Load()) }
 
 // SetWorkers attaches an intra-op worker pool: NTTs, key-switch inner
 // products, modulus switches and (above a size cutoff) pointwise ops run
@@ -442,7 +418,7 @@ func mulScalarRow(tier kernelTier, q, c, cs uint64, a, out []uint64) {
 // Add sets out = a + b. All three must share a level and domain.
 func (ctx *Context) Add(a, b, out *Poly) {
 	m := len(out.Coeffs)
-	tier := ctx.rowTier()
+	tier := ctx.tier
 	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
 		ws.RunTiled(m, grain, func(i int) { addRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]) })
 	} else {
@@ -456,7 +432,7 @@ func (ctx *Context) Add(a, b, out *Poly) {
 // Sub sets out = a - b.
 func (ctx *Context) Sub(a, b, out *Poly) {
 	m := len(out.Coeffs)
-	tier := ctx.rowTier()
+	tier := ctx.tier
 	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
 		ws.RunTiled(m, grain, func(i int) { subRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]) })
 	} else {
@@ -470,7 +446,7 @@ func (ctx *Context) Sub(a, b, out *Poly) {
 // Neg sets out = -a.
 func (ctx *Context) Neg(a, out *Poly) {
 	m := len(out.Coeffs)
-	tier := ctx.rowTier()
+	tier := ctx.tier
 	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
 		ws.RunTiled(m, grain, func(i int) { negRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], out.Coeffs[i]) })
 	} else {
@@ -488,7 +464,7 @@ func (ctx *Context) MulCoeffs(a, b, out *Poly) {
 		panic("ring: MulCoeffs requires NTT-domain operands")
 	}
 	m := len(out.Coeffs)
-	tier := ctx.rowTier()
+	tier := ctx.tier
 	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
 		ws.RunTiled(m, grain, func(i int) { mulRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]) })
 	} else {
@@ -505,7 +481,7 @@ func (ctx *Context) MulCoeffsAdd(a, b, out *Poly) {
 		panic("ring: MulCoeffsAdd requires NTT-domain operands")
 	}
 	m := len(out.Coeffs)
-	tier := ctx.rowTier()
+	tier := ctx.tier
 	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
 		ws.RunTiled(m, grain, func(i int) { mulAddRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]) })
 	} else {
@@ -543,7 +519,7 @@ func (ctx *Context) ShoupPoly(p *Poly) *PolyShoup {
 // MulScalar sets out = a * c for a word-sized scalar c.
 func (ctx *Context) MulScalar(a *Poly, c uint64, out *Poly) {
 	m := len(out.Coeffs)
-	tier := ctx.rowTier()
+	tier := ctx.tier
 	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
 		ws.RunTiled(m, grain, func(i int) {
 			q := ctx.Moduli[i].Q

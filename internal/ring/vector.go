@@ -11,8 +11,8 @@ import "sync/atomic"
 // build tag — the scalar Go kernels are the implementation. A CPUID
 // probe picks the best tier once at init (avx512 > avx2 > scalar); it
 // seeds the package default, which every Modulus/Context captures at
-// construction. SetVectorKernels(false) pins the scalar kernels for
-// ablation benches (copse-bench -novec).
+// construction and keeps. SetVectorKernels(false) pins the scalar
+// kernels for ablation benches (copse-bench -novec).
 //
 // Every tier is bit-identical to the scalar kernels: the butterflies
 // and Shoup multiplies evaluate exactly the same uint64 formulas
@@ -70,26 +70,20 @@ func init() {
 
 func defaultTier() kernelTier { return kernelTier(kernelDefault.Load()) }
 
-// tierFor maps the public on/off switch to a tier: the best the host
-// supports, or scalar.
-func tierFor(on bool) kernelTier {
-	if on {
-		return bestTier()
-	}
-	return tierScalar
-}
-
 // SetVectorKernels sets the package default for vector kernel selection:
 // on selects the best tier the host supports, off the scalar kernels.
-// Contexts and Moduli built afterwards capture the new default; existing
-// ones are unaffected (use Context.SetVectorKernels to retune those).
-func SetVectorKernels(on bool) {
-	kernelDefault.Store(int32(tierFor(on)))
+// Contexts and Moduli capture the default when they are built and keep
+// it; existing ones are unaffected. It returns a function that restores
+// the previous default, so a caller can pin a tier around one
+// construction.
+func SetVectorKernels(on bool) (restore func()) {
+	t := tierScalar
+	if on {
+		t = bestTier()
+	}
+	prev := kernelDefault.Swap(int32(t))
+	return func() { kernelDefault.Store(prev) }
 }
-
-// VectorKernelsEnabled reports whether the package default is a vector
-// tier.
-func VectorKernelsEnabled() bool { return defaultTier() != tierScalar }
 
 // KernelVariant names the kernel tier the package default selects:
 // "avx512", "avx2" or "scalar-fused". Benchmark provenance headers

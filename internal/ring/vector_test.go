@@ -3,26 +3,28 @@ package ring
 import (
 	"math/big"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
-// hostVectorTiers returns every vector tier the host supports, logging
-// which tiers run and which are skipped, and skips the test when there
-// is none (non-amd64 hosts, `purego` builds).
-func hostVectorTiers(t testing.TB) []kernelTier {
-	t.Helper()
-	var run, skipped []string
-	var tiers []kernelTier
+// vectorTiers splits the vector tiers into those the host supports
+// (every tier test runs each of them against the scalar reference) and
+// those it lacks.
+func vectorTiers() (run, skipped []kernelTier) {
 	for _, tier := range []kernelTier{tierAVX2, tierAVX512} {
 		if tier <= bestTier() {
-			tiers = append(tiers, tier)
-			run = append(run, tier.String())
+			run = append(run, tier)
 		} else {
-			skipped = append(skipped, tier.String())
+			skipped = append(skipped, tier)
 		}
 	}
-	t.Logf("kernel tiers run: %v; skipped (host lacks them): %v", run, skipped)
+	return run, skipped
+}
+
+// hostVectorTiers returns every vector tier the host supports and skips
+// the test when there is none (non-amd64 hosts, `purego` builds).
+func hostVectorTiers(t testing.TB) []kernelTier {
+	t.Helper()
+	tiers, _ := vectorTiers()
 	if len(tiers) == 0 {
 		t.Skip("no vector backend on this host/build")
 	}
@@ -91,12 +93,12 @@ func checkTransforms(t testing.TB, m *Modulus, tier kernelTier, a []uint64) {
 
 // TestVectorKernelsMatchScalar asserts bit-identity of every supported
 // tier's transform kernels against the fused scalar reference, at every
-// size from the n=32 minimum to N=8192 and at both ends of the modulus
-// gate.
+// size from the n=32 minimum to N=32768 (the Security128 ring) and at
+// both ends of the modulus gate.
 func TestVectorKernelsMatchScalar(t *testing.T) {
 	tiers := hostVectorTiers(t)
 	rng := rand.New(rand.NewSource(7))
-	for logN := 5; logN <= 13; logN++ {
+	for logN := 5; logN <= 15; logN++ {
 		n := 1 << logN
 		for _, q := range gatePrimes(t, n) {
 			m, err := NewModulus(q, n)
@@ -228,73 +230,32 @@ func TestModulusVectorGate(t *testing.T) {
 }
 
 // TestKernelVariantNamesDefaultTier: the provenance name tracks the
-// package default through SetVectorKernels.
+// package default through SetVectorKernels, and restore brings the
+// previous default back. Run verbosely, it logs which vector tiers the
+// host supports — exactly the tiers every other tier test checks
+// against the scalar kernels.
 func TestKernelVariantNamesDefaultTier(t *testing.T) {
-	defer kernelDefault.Store(kernelDefault.Load())
-	SetVectorKernels(true)
-	if got, want := KernelVariant(), bestTier().String(); got != want {
-		t.Fatalf("KernelVariant() = %q with vector kernels on, want %q", got, want)
+	run, skipped := vectorTiers()
+	t.Logf("kernel tiers run: %v; skipped (host lacks them): %v", run, skipped)
+	host := KernelVariant()
+	if want := bestTier().String(); host != want {
+		t.Fatalf("KernelVariant() = %q at init, want the best host tier %q", host, want)
 	}
-	t.Logf("host kernel tier: %s", KernelVariant())
-	SetVectorKernels(false)
+	t.Logf("host kernel tier: %s", host)
+	restore := SetVectorKernels(false)
 	if got := KernelVariant(); got != "scalar-fused" {
 		t.Fatalf("KernelVariant() = %q with vector kernels off, want scalar-fused", got)
 	}
-}
-
-// TestSetVectorKernelsRace toggles Context.SetVectorKernels while other
-// goroutines run transforms and pointwise ops on the same context: the
-// per-modulus and per-context tiers are read by every op, so the retune
-// must be race-free (run under -race), and results must not depend on
-// which tier an op happened to see.
-func TestSetVectorKernelsRace(t *testing.T) {
-	ctx := testContext(t)
-	src := NewSeededSampler(ctx, 3).UniformPoly(ctx.MaxLevel(), false)
-	want := src.Copy()
-	ctx.NTT(want)
-	ctx.MulCoeffs(want, want, want)
-
-	stop := make(chan struct{})
-	var toggler sync.WaitGroup
-	toggler.Add(1)
-	go func() {
-		defer toggler.Done()
-		for on := false; ; on = !on {
-			select {
-			case <-stop:
-				return
-			default:
-				ctx.SetVectorKernels(on)
-			}
-		}
-	}()
-	const goroutines = 2
-	var ops sync.WaitGroup
-	errs := make(chan string, goroutines)
-	for g := 0; g < goroutines; g++ {
-		ops.Add(1)
-		go func() {
-			defer ops.Done()
-			for i := 0; i < 50; i++ {
-				p := src.Copy()
-				ctx.NTT(p)
-				ctx.MulCoeffs(p, p, p)
-				for l := range p.Coeffs {
-					for j := range p.Coeffs[l] {
-						if p.Coeffs[l][j] != want.Coeffs[l][j] {
-							errs <- "result depends on the tier an op saw"
-							return
-						}
-					}
-				}
-			}
-		}()
+	inner := SetVectorKernels(true)
+	if got := KernelVariant(); got != host {
+		t.Fatalf("KernelVariant() = %q with vector kernels on, want %q", got, host)
 	}
-	ops.Wait()
-	close(stop)
-	toggler.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
+	inner()
+	if got := KernelVariant(); got != "scalar-fused" {
+		t.Fatalf("restore returned %q, want the previous scalar-fused default", got)
+	}
+	restore()
+	if got := KernelVariant(); got != host {
+		t.Fatalf("restore returned %q, want the previous %q default", got, host)
 	}
 }
